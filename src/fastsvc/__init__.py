@@ -27,7 +27,6 @@ from .model import (
     build_basis,
     fit,
     reconstruct_svc,
-    residual_variance,
 )
 from .sequential import FitTrace, PerKCache, build_cache, fast_loglik, fit_sequential, optimize_k
 from .simulation import (
@@ -55,7 +54,7 @@ __all__ = [
     "LikelihoodResult", "ShrinkageParams",
     "compressed_restricted_loglik", "direct_restricted_loglik", "v_diag",
     "FitOptions", "SpatialDataset", "SvcFit", "add_intercept", "build_basis",
-    "fit", "reconstruct_svc", "residual_variance",
+    "fit", "reconstruct_svc",
     "FitTrace", "PerKCache", "build_cache", "fast_loglik", "fit_sequential", "optimize_k",
     "ExperimentSpec", "SimConfig", "SimInstance",
     "bias", "corr", "gen_large", "gen_small", "generate", "rmse",

@@ -66,7 +66,7 @@ def _delaunay_max_edge_sq(sites: np.ndarray, qhull_options: str | None) -> float
     return _tree_max_edge_sq(sites, rows[keep], neighbors[keep])
 
 
-def mst_max_edge(coords, subsample: int | None = None, seed: int = 0) -> float:
+def mst_max_edge(coords) -> float:
     """Length of the longest edge of a Euclidean minimum spanning tree.
 
     The Euclidean MST is a subgraph of the Delaunay triangulation (Shamos &
@@ -78,17 +78,11 @@ def mst_max_edge(coords, subsample: int | None = None, seed: int = 0) -> float:
     sites), the triangulation is retried on joggled input (``QJ``). Edge
     lengths are always taken from the given coordinates, so the result
     equals the maximum edge Prim's algorithm finds on the full distance
-    graph. An optional uniform ``subsample`` computes the tree on fewer
-    sites; it preserves the order of magnitude of the maximum edge.
+    graph.
 
     Parameters
     ----------
     coords : (N, 2) array
-    subsample : int, optional
-        If given and N exceeds it, compute the tree on this many uniformly
-        sampled sites (seeded).
-    seed : int
-        Seed for the subsample draw.
 
     Returns
     -------
@@ -103,12 +97,8 @@ def mst_max_edge(coords, subsample: int | None = None, seed: int = 0) -> float:
         If even the joggled triangulation leaves a distinct site unconnected.
     """
     pts = as_coords(coords)
-    n = pts.shape[0]
-    if n < 2:
+    if pts.shape[0] < 2:
         raise ValueError("need at least two sites for a spanning tree")
-    if subsample is not None and n > subsample:
-        rng = np.random.default_rng(seed)
-        pts = pts[rng.choice(n, size=subsample, replace=False)]
 
     sites = np.unique(pts, axis=0)
     m = sites.shape[0]
@@ -201,8 +191,7 @@ def kmeans_knots(coords, n_knots: int, seed: int = 0) -> KnotSet:
     return KnotSet(centers=centers, assignment=assignment)
 
 
-def proximity(a, b, range_r: float, zero_diagonal: bool = False,
-              chunk: int | None = None) -> np.ndarray:
+def proximity(a, b, range_r: float, zero_diagonal: bool = False) -> np.ndarray:
     """Exponential distance-decay kernel exp(-d / range_r), shape (|a|, |b|).
 
     With ``zero_diagonal`` the main diagonal of a square result is forced to
@@ -210,14 +199,7 @@ def proximity(a, b, range_r: float, zero_diagonal: bool = False,
     """
     if not range_r > 0.0:
         raise NonPositiveRange(f"kernel range must be > 0, got {range_r}")
-    pa, pb = as_coords(a), as_coords(b)
-    if chunk is None:
-        out = np.exp(-cdist(pa, pb) / range_r)
-    else:
-        out = np.empty((pa.shape[0], pb.shape[0]))
-        for lo in range(0, pa.shape[0], chunk):
-            hi = min(lo + chunk, pa.shape[0])
-            np.exp(-cdist(pa[lo:hi], pb) / range_r, out=out[lo:hi])
+    out = np.exp(-cdist(as_coords(a), as_coords(b)) / range_r)
     if zero_diagonal and out.shape[0] == out.shape[1]:
         np.fill_diagonal(out, 0.0)
     return out

@@ -103,13 +103,12 @@ def v_diag(rho: float, alpha: float, values: np.ndarray) -> np.ndarray:
     return rho * lam ** (0.5 * alpha)
 
 
-def spd_factor(P: np.ndarray, error: type = SingularP,
-               rcond_limit: float = RCOND_LIMIT):
+def spd_factor(P: np.ndarray, error: type = SingularP):
     """Cholesky of a symmetric PD matrix with a cheap condition estimate.
 
     Returns ``((factor, lower), logdet)``; raises ``error`` when the
     factorization fails or the reciprocal 1-norm condition estimate falls
-    below ``rcond_limit``.
+    below ``RCOND_LIMIT``.
     """
     anorm = np.linalg.norm(P, 1)
     try:
@@ -117,7 +116,7 @@ def spd_factor(P: np.ndarray, error: type = SingularP,
     except np.linalg.LinAlgError as exc:
         raise error(f"matrix not positive definite: {exc}") from exc
     rcond, info = lapack.dpocon(c, anorm, uplo=b"L")
-    if info != 0 or not np.isfinite(rcond) or rcond < rcond_limit:
+    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_LIMIT:
         raise error(f"condition estimate too poor (rcond={rcond:.3e})")
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     return (c, low), logdet
@@ -132,6 +131,16 @@ def scale_vector(moments_or_design, params: ShrinkageParams) -> np.ndarray:
     for a in range(kv):
         v[k + a * L: k + (a + 1) * L] = v_diag(params.rho[a], params.alpha[a], lam)
     return v
+
+
+def _clamp_cancelled(value: float, yty: float, what: str) -> float:
+    """A residual norm recovered by subtracting nearly equal terms: values in
+    ``[-CANCEL_TOL * y'y, 0)`` are rounding and become 0, lower ones raise."""
+    if value < 0.0:
+        if value < -CANCEL_TOL * yty:
+            raise NegativeResidualNorm(f"{what} {value:.3e} below -tolerance")
+        return 0.0
+    return value
 
 
 def _assemble_loglik(logdet: float, d_theta: float, n: int, k: int,
@@ -223,12 +232,7 @@ def compressed_restricted_loglik(moments: CompressedMoments,
     eps2 = (np.longdouble(moments.yty)
             - 2.0 * zl @ rhs.astype(np.longdouble)
             + w.astype(np.longdouble) @ Gw.astype(np.longdouble))
-    eps2 = float(eps2)
-    if eps2 < 0.0:
-        if eps2 < -CANCEL_TOL * moments.yty:
-            raise NegativeResidualNorm(
-                f"compressed residual norm {eps2:.3e} below -tolerance")
-        eps2 = 0.0
+    eps2 = _clamp_cancelled(float(eps2), moments.yty, "compressed residual norm")
 
     u = z[k:]
     d_theta = float(eps2 + u @ u)

@@ -10,7 +10,7 @@ result so scaling behavior can be inspected.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +18,8 @@ from .compression import SvcDesign, compress
 from .eigenbasis import DEFAULT_MAX_PAIRS, EigenBasis, exact_basis, nystrom_basis
 from .errors import InsufficientData
 from .geometry import as_coords, kmeans_knots, mst_max_edge
-from .likelihood import (
-    LikelihoodResult,
-    ShrinkageParams,
-    compressed_restricted_loglik,
-    v_diag,
-)
-from .sequential import ALPHA_BOUNDS, RHO_BOUNDS, FitTrace, fit_sequential
+from .likelihood import ShrinkageParams, v_diag
+from .sequential import FitTrace, fit_sequential
 
 #: with basis="auto", the exact eigenbasis is used up to this N
 AUTO_EXACT_LIMIT = 1000
@@ -82,17 +77,11 @@ class FitOptions:
     knot_count: int | None = None         # default min(200, N)
     basis: str = "auto"                   # exact | nystrom | auto
     max_eigenpairs: int = DEFAULT_MAX_PAIRS
-    alpha_bounds: tuple = ALPHA_BOUNDS
-    rho_bounds: tuple = RHO_BOUNDS
     tol: float = 1e-5
     max_sweeps: int = 30
     eval_budget: int = 120
     seed: int = 0
-    init_rho: float = 0.5
-    init_alpha: float = 1.0
     range_r: float | None = None          # override the MST-derived kernel range
-    mst_subsample: int | None = None      # opt-in MST subsampling for huge N
-    exact_size_guard: int = 5000
 
     def __post_init__(self):
         if self.basis not in ("exact", "nystrom", "auto"):
@@ -149,13 +138,12 @@ def build_basis(coords, options: FitOptions) -> EigenBasis:
     n = coords.shape[0]
     r = options.range_r
     if r is None:
-        r = mst_max_edge(coords, subsample=options.mst_subsample, seed=options.seed)
+        r = mst_max_edge(coords)
     kind = options.basis
     if kind == "auto":
         kind = "exact" if n <= AUTO_EXACT_LIMIT else "nystrom"
     if kind == "exact":
-        return exact_basis(coords, r, max_pairs=options.max_eigenpairs,
-                           size_guard=options.exact_size_guard)
+        return exact_basis(coords, r, max_pairs=options.max_eigenpairs)
     n_knots = options.knot_count if options.knot_count is not None else min(200, n)
     knots = kmeans_knots(coords, min(n_knots, n), seed=options.seed)
     return nystrom_basis(coords, knots, r, max_pairs=options.max_eigenpairs)
@@ -186,12 +174,9 @@ def fit(dataset: SpatialDataset, options: FitOptions | None = None) -> SvcFit:
     timings["compress"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    init = ShrinkageParams.constant(moments.k_varying,
-                                    rho=options.init_rho, alpha=options.init_alpha)
     params, final, trace = fit_sequential(
-        moments, init=init, tol=options.tol, max_sweeps=options.max_sweeps,
-        budget=options.eval_budget, rho_bounds=options.rho_bounds,
-        alpha_bounds=options.alpha_bounds)
+        moments, tol=options.tol, max_sweeps=options.max_sweeps,
+        budget=options.eval_budget)
     timings["estimate"] = time.perf_counter() - t0
 
     beta = reconstruct_svc(basis, final.b_hat, params, final.u_hat, dataset.svc_flags)
@@ -207,8 +192,3 @@ def fit(dataset: SpatialDataset, options: FitOptions | None = None) -> SvcFit:
         trace=trace,
         timings=timings,
     )
-
-
-def residual_variance(fit_result: SvcFit) -> float:
-    """Profiled residual variance of a fitted model, d / (N - K)."""
-    return fit_result.sigma2_hat

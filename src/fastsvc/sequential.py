@@ -36,18 +36,13 @@ import scipy.linalg as sla
 from scipy.optimize import minimize
 
 from .compression import CompressedMoments
-from .errors import (
-    FastSvcError,
-    NegativeResidualNorm,
-    SingularBlock,
-    SingularInnerMatrix,
-)
+from .errors import FastSvcError, SingularBlock, SingularInnerMatrix
 from .likelihood import (
-    CANCEL_TOL,
     LikelihoodResult,
     ShrinkageParams,
     _assemble_loglik,
     _check_counts,
+    _clamp_cancelled,
     spd_factor,
     v_diag,
 )
@@ -75,39 +70,18 @@ class PerKCache:
     """
 
     target: int               # position within the varying list
-    perm: np.ndarray          # column permutation: [fixed+others..., target block]
     n_rest: int               # size of the non-target part
-    chol_rest_target: tuple   # Cholesky factor of R (permuted order)
-    moment_solve: np.ndarray  # r = R^{-1} m, permuted order
+    moment_solve: np.ndarray  # r = R^{-1} m, order [fixed, others..., target]
     rinv_target: np.ndarray   # R^{-1}[:, target block], (m, L)
     t_block: np.ndarray       # lower-right L x L block of R^{-1} (symmetric)
-    schur_tt: np.ndarray      # M_tt - Bt' P_rest^{-1} Bt = t_block^{-1}
     logdet_r: float           # ln|R|
-    logdet_fixed: float       # ln|P_rest| (leading-block determinant)
-    m_stack: np.ndarray       # scaled moment vector, permuted order
-    m_target: np.ndarray      # raw target moment slice (L,)
-    scale_others: np.ndarray  # shrinkage scaling on the non-target part
+    m_stack: np.ndarray       # scaled moments s * m, same order (s = 1 on target)
     values: np.ndarray        # basis eigenvalues (L,)
     yty: float
     n_obs: int
     n_cov: int
     n_basis: int
     k_varying: int
-
-    def q_inv_blocks(self):
-        """Four blocks of the inverse of the unscaled bordered matrix Q.
-
-        Q absorbs the off-target shrinkage as inverse-square penalties, so it
-        exists only when every off-target rho is positive; this accessor is
-        for verification, the estimation path never forms it.
-        """
-        if np.any(self.scale_others[self.n_cov:] == 0.0):
-            raise FastSvcError("Q is undefined when an off-target rho is zero")
-        r_inv = sla.cho_solve(self.chol_rest_target, np.eye(self.moment_solve.shape[0]))
-        d = np.concatenate([self.scale_others, np.ones(self.n_basis)])
-        q_inv = r_inv * np.outer(d, d)
-        nr = self.n_rest
-        return (q_inv[:nr, :nr], q_inv[:nr, nr:], q_inv[nr:, :nr], q_inv[nr:, nr:])
 
 
 def build_cache(moments: CompressedMoments, params: ShrinkageParams,
@@ -142,9 +116,6 @@ def build_cache(moments: CompressedMoments, params: ShrinkageParams,
     R[diag_pen, diag_pen] += 1.0
 
     factor, logdet_r = spd_factor(R, error=SingularBlock)
-    # leading Cholesky block factors the off-target penalized matrix
-    logdet_fixed = 2.0 * float(np.sum(np.log(np.diag(factor[0])[:n_rest])))
-
     m_stack = (s * moments.gy)[perm]
     moment_solve = sla.cho_solve(factor, m_stack)
     rhs = np.zeros((m, L))
@@ -152,24 +123,14 @@ def build_cache(moments: CompressedMoments, params: ShrinkageParams,
     rinv_target = sla.cho_solve(factor, rhs)
     t_block = 0.5 * (rinv_target[n_rest:] + rinv_target[n_rest:].T)
 
-    t_factor, _ = spd_factor(t_block, error=SingularBlock)
-    schur_tt = sla.cho_solve(t_factor, np.eye(L))
-    schur_tt = 0.5 * (schur_tt + schur_tt.T)
-
     return PerKCache(
         target=target,
-        perm=perm,
         n_rest=n_rest,
-        chol_rest_target=factor,
         moment_solve=moment_solve,
         rinv_target=rinv_target,
         t_block=t_block,
-        schur_tt=schur_tt,
         logdet_r=logdet_r,
-        logdet_fixed=logdet_fixed,
         m_stack=m_stack,
-        m_target=moments.gy[moments.block(target)].copy(),
-        scale_others=s[perm][:n_rest].copy(),
         values=moments.values,
         yty=moments.yty,
         n_obs=moments.n_obs,
@@ -199,13 +160,11 @@ def fast_loglik(cache: PerKCache, rho: float, alpha: float) -> LikelihoodResult:
     logdet_p = cache.logdet_r + logdet_inner
 
     # d = y'y - z'm at the solve; accumulate in extended precision
-    zm = (z_rest.astype(np.longdouble) @ cache.m_stack[: cache.n_rest].astype(np.longdouble)
-          + z_target.astype(np.longdouble) @ (vt * cache.m_target).astype(np.longdouble))
-    d_theta = float(np.longdouble(cache.yty) - zm)
-    if d_theta < 0.0:
-        if d_theta < -CANCEL_TOL * cache.yty:
-            raise NegativeResidualNorm(f"residual term {d_theta:.3e} below -tolerance")
-        d_theta = 0.0
+    m_rest, m_t = cache.m_stack[: cache.n_rest], cache.m_stack[cache.n_rest:]
+    zm = (z_rest.astype(np.longdouble) @ m_rest.astype(np.longdouble)
+          + z_target.astype(np.longdouble) @ (vt * m_t).astype(np.longdouble))
+    d_theta = _clamp_cancelled(float(np.longdouble(cache.yty) - zm), cache.yty,
+                               "residual term")
 
     loglik = _assemble_loglik(logdet_p, d_theta, cache.n_obs, k, cache.yty)
 
@@ -225,9 +184,7 @@ def fast_loglik(cache: PerKCache, rho: float, alpha: float) -> LikelihoodResult:
 
 
 def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
-               budget: int = 120,
-               rho_bounds: tuple = RHO_BOUNDS,
-               alpha_bounds: tuple = ALPHA_BOUNDS):
+               budget: int = 120):
     """Maximize the target coordinate's restricted likelihood.
 
     Derivative-free simplex search over (log rho, alpha) with fixed restarts,
@@ -237,8 +194,8 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    lo = np.log(rho_bounds[0])
-    hi = np.log(rho_bounds[1])
+    lo = np.log(RHO_BOUNDS[0])
+    hi = np.log(RHO_BOUNDS[1])
     n_eval = 0
 
     def objective(x):
@@ -258,11 +215,11 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
     n_eval += 1
     best = (rho_in, alpha_in)
 
-    bounds = [(lo, hi), alpha_bounds]
+    bounds = [(lo, hi), ALPHA_BOUNDS]
     per_start = max(10, (budget - 1) // len(RESTARTS))
     for rho0, alpha0 in RESTARTS:
         x0 = np.array([np.clip(np.log(rho0), lo, hi),
-                       np.clip(alpha0, *alpha_bounds)])
+                       np.clip(alpha0, *ALPHA_BOUNDS)])
         res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds,
                        options={"maxfev": per_start, "xatol": 1e-4, "fatol": 1e-7})
         if np.isfinite(res.fun) and -res.fun > best_ll:
@@ -290,10 +247,7 @@ def fit_sequential(moments: CompressedMoments,
                    init: ShrinkageParams | None = None,
                    tol: float = 1e-5,
                    max_sweeps: int = 30,
-                   budget: int = 120,
-                   rho_bounds: tuple = RHO_BOUNDS,
-                   alpha_bounds: tuple = ALPHA_BOUNDS,
-                   order=None):
+                   budget: int = 120):
     """Sweep the varying coefficients until the likelihood gain drops below tol.
 
     Each coordinate step rebuilds its cache at the current off-target
@@ -315,21 +269,18 @@ def fit_sequential(moments: CompressedMoments,
     params = init if init is not None else ShrinkageParams.constant(kv)
     if params.k_varying != kv:
         raise ValueError("init length must match the number of varying coefficients")
-    sweep_order = list(range(kv)) if order is None else list(order)
 
     trace = FitTrace(collapsed=np.zeros(kv, dtype=bool))
-    collapse_at = COLLAPSE_FACTOR * rho_bounds[0]
+    collapse_at = COLLAPSE_FACTOR * RHO_BOUNDS[0]
     prev_ll = -np.inf
     for sweep in range(max_sweeps):
         ll = prev_ll
         counts = []
-        for a in sweep_order:
+        for a in range(kv):
             if trace.collapsed[a]:
                 continue
             cache = build_cache(moments, params, a)
-            rho, alpha, ll_a, n_eval = optimize_k(
-                cache, params, a, budget=budget,
-                rho_bounds=rho_bounds, alpha_bounds=alpha_bounds)
+            rho, alpha, ll_a, n_eval = optimize_k(cache, params, a, budget=budget)
             counts.append(n_eval)
             if np.isfinite(ll_a):
                 ll = ll_a

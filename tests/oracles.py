@@ -183,6 +183,37 @@ def dense_penalized_system(moments, params):
     return P, rhs
 
 
+def bordered_q(moments, params, target):
+    """Unscaled bordered matrix Q of the coordinate step ``target`` and the
+    off-target scaling d, both ordered [fixed, other varying..., target].
+
+    Q keeps the raw Gram blocks and puts each off-target shrinkage on its
+    diagonal as an inverse-square penalty, so it needs every off-target rho
+    positive; the target block is the raw Gram block with no penalty.
+    Assembled literally from the named moment views.
+    """
+    k, L, kv = moments.n_cov, moments.n_basis, moments.k_varying
+    order = [a for a in range(kv) if a != target] + [target]
+    m = k + kv * L
+
+    def blk(pos):
+        return slice(k + pos * L, k + (pos + 1) * L)
+
+    Q = np.zeros((m, m))
+    d = np.ones(m)
+    Q[:k, :k] = moments.m00
+    for pos, a in enumerate(order):
+        Q[:k, blk(pos)] = moments.m0k(a)
+        Q[blk(pos), :k] = moments.m0k(a).T
+        for pos2, b in enumerate(order):
+            Q[blk(pos), blk(pos2)] = moments.mkk(a, b)
+        if a != target:
+            va = v_diag(params.rho[a], params.alpha[a], moments.values)
+            Q[blk(pos), blk(pos)] += np.diag(va ** -2.0)
+            d[blk(pos)] = va
+    return Q, d
+
+
 def naive_gwr_site(X, y, w):
     """Plain weighted least squares with an explicit diagonal weight matrix."""
     G = np.diag(w)

@@ -143,8 +143,12 @@ def test_criterion_3_likelihood_cost_independent_of_n():
 def test_criterion_4_stage_scaling():
     """Fit time grows <= 6x from N=10k to N=50k; estimation stage <= 1.5x.
 
-    The sweep count is pinned (tol=0, max_sweeps=3) so the estimation-stage
-    comparison measures per-sweep cost, which is the N-independent claim.
+    The sweep count is pinned (tol=0, max_sweeps=3), but that does not fix
+    the estimation work: which coefficients collapse in a sweep depends on
+    the data, so this setup makes 914 likelihood evaluations and 8 cache
+    builds at N=10k against 1165 and 10 at N=50k. The time per evaluation
+    (cache builds included) is flat in N; the 1.5 bound on the stage ratio
+    also absorbs that difference in work.
     """
     t0 = time.perf_counter()
     totals, stages = {}, {}

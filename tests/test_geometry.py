@@ -87,14 +87,6 @@ class TestMstMaxEdge:
         pts = PRIM_CASES[name]
         assert mst_max_edge(pts) == prim_max_edge(pts)
 
-    def test_subsample_deterministic(self):
-        rng = np.random.default_rng(4)
-        pts = rng.standard_normal((500, 2))
-        r1 = mst_max_edge(pts, subsample=200, seed=9)
-        r2 = mst_max_edge(pts, subsample=200, seed=9)
-        assert r1 == r2
-        assert r1 > 0
-
 
 class TestKmeansKnots:
     def test_one_point_per_cluster(self):
@@ -177,12 +169,6 @@ class TestProximity:
         pts = rng.standard_normal((30, 2))
         C = proximity(pts, pts, 0.5)
         assert C.min() >= 0.0 and C.max() <= 1.0
-
-    def test_chunked_matches_direct(self):
-        rng = np.random.default_rng(14)
-        a, b = rng.standard_normal((37, 2)), rng.standard_normal((11, 2))
-        np.testing.assert_array_equal(proximity(a, b, 0.9),
-                                      proximity(a, b, 0.9, chunk=8))
 
     def test_nonpositive_range(self):
         with pytest.raises(NonPositiveRange):

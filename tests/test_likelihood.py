@@ -4,12 +4,14 @@ import scipy.linalg as sla
 
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.errors import (
+    NegativeResidualNorm,
     NonPositiveEigenvalue,
     PerfectFit,
     SingularP,
 )
 from fastsvc.likelihood import (
     ShrinkageParams,
+    _clamp_cancelled,
     compressed_restricted_loglik,
     direct_restricted_loglik,
     scale_vector,
@@ -146,3 +148,18 @@ class TestCompressedForm:
         assert np.all(v[:k] == 1.0)
         assert np.all(v[k:k + L] == 2.0)
         assert np.all(v[k + L:] == 3.0)
+
+
+class TestClampCancelled:
+    YTY = 250.0
+
+    def test_rounding_below_zero_clamps(self):
+        assert _clamp_cancelled(-0.5e-6 * self.YTY, self.YTY, "norm") == 0.0
+
+    def test_gross_negative_raises(self):
+        with pytest.raises(NegativeResidualNorm, match="norm"):
+            _clamp_cancelled(-2e-6 * self.YTY, self.YTY, "norm")
+
+    def test_positive_passes_unchanged(self):
+        for value in (1e-300, 0.0, 3.7, 1e6):
+            assert _clamp_cancelled(value, self.YTY, "norm") == value

@@ -10,7 +10,6 @@ from fastsvc.model import (
     add_intercept,
     fit,
     reconstruct_svc,
-    residual_variance,
 )
 from fastsvc.simulation import SimConfig, gen_small
 
@@ -123,9 +122,12 @@ class TestResidualVariance:
     def test_profiled_formula(self):
         inst = gen_small(SimConfig(n=300, k=2, seed=11))
         res = fit(inst.dataset, FitOptions(basis="exact", seed=0))
+        design = SvcDesign(X=inst.dataset.X, y=inst.dataset.y,
+                           vectors=res.basis.vectors, values=res.basis.values,
+                           svc_flags=inst.dataset.svc_flags)
+        d_theta = compressed_restricted_loglik(compress(design), res.params).d_theta
         n, k = inst.dataset.n_obs, inst.dataset.n_cov
-        final = compressed_restricted_loglik
-        assert residual_variance(res) == res.sigma2_hat
+        assert res.sigma2_hat == pytest.approx(d_theta / (n - k), rel=1e-10)
         assert res.sigma2_hat > 0
 
     def test_scale_equivariance(self):
@@ -153,3 +155,10 @@ class TestAddIntercept:
         assert out.shape == (3, 3)
         np.testing.assert_array_equal(out[:, 0], 1.0)
         np.testing.assert_array_equal(out[:, 1:], X)
+
+
+def test_every_exported_name_resolves():
+    import fastsvc
+
+    missing = [name for name in fastsvc.__all__ if not hasattr(fastsvc, name)]
+    assert missing == []

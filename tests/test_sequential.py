@@ -8,7 +8,7 @@ from fastsvc.model import FitOptions, fit
 from fastsvc.sequential import build_cache, fast_loglik, fit_sequential, optimize_k
 from fastsvc.simulation import SimConfig, gen_large
 
-from oracles import dense_penalized_system, random_instance, random_params
+from oracles import bordered_q, dense_penalized_system, random_instance, random_params
 
 
 def _instance(seed, n=60, k=3, L=8):
@@ -24,14 +24,14 @@ class TestBuildCache:
         cold = params.with_entry(1, 0.001, 0.2)
         a = build_cache(moments, hot, 1)
         b = build_cache(moments, cold, 1)
-        for name in ("moment_solve", "rinv_target", "t_block", "schur_tt", "m_stack"):
+        for name in ("moment_solve", "rinv_target", "t_block", "m_stack"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert a.logdet_r == b.logdet_r
-        assert a.logdet_fixed == b.logdet_fixed
 
     def test_single_varying_coefficient_degenerate_form(self):
-        moments, params = _instance(1, k=2)
-        # only the intercept coefficient varies
+        # only the intercept coefficient varies: R = [[X'X, B], [B', M_tt]]
+        # and t_block is the inverse of its Schur complement, so
+        # ln|X'X| = ln|R| + ln|t_block|
         from fastsvc.compression import SvcDesign, compress
 
         _, basis, design, _ = random_instance(1, n=60, k=2, max_pairs=8)
@@ -41,45 +41,22 @@ class TestBuildCache:
         cache = build_cache(mom, ShrinkageParams(np.array([0.8]), np.array([1.0])), 0)
         sign, logdet = np.linalg.slogdet(mom.m00)
         assert sign > 0
-        assert cache.logdet_fixed == pytest.approx(logdet, rel=1e-10)
+        sign_t, logdet_t = np.linalg.slogdet(cache.t_block)
+        assert sign_t > 0
+        assert cache.logdet_r + logdet_t == pytest.approx(logdet, rel=1e-10)
 
     def test_q_inverse_blocks_match_dense_inversion(self):
+        # Q^{-1} = D R^{-1} D with D the off-target scaling (1 on the target),
+        # so the target columns of Q^{-1} are rinv_target and t_block, scaled
         moments, params = _instance(2, k=3, L=6)
-        k, L, kv = moments.n_cov, moments.n_basis, moments.k_varying
         target = 1
         cache = build_cache(moments, params, target)
-        # bordered matrix assembled literally, then inverted densely
-        from fastsvc.likelihood import v_diag
-
-        others = [a for a in range(kv) if a != target]
-        nr = k + len(others) * L
-        Q = np.zeros((nr + L, nr + L))
-        Q[:k, :k] = moments.m00
-        for pos, a in enumerate(others):
-            sl = slice(k + pos * L, k + (pos + 1) * L)
-            va = v_diag(params.rho[a], params.alpha[a], moments.values)
-            Q[:k, sl] = moments.m0k(a)
-            Q[sl, :k] = moments.m0k(a).T
-            Q[sl, sl] = moments.mkk(a, a) + np.diag(va ** -2)
-            for pos2, b in enumerate(others):
-                if pos2 != pos:
-                    sl2 = slice(k + pos2 * L, k + (pos2 + 1) * L)
-                    Q[sl, sl2] = moments.mkk(a, b)
-        tl = slice(nr, nr + L)
-        Q[:k, tl] = moments.m0k(target)
-        Q[tl, :k] = moments.m0k(target).T
-        for pos, a in enumerate(others):
-            sl = slice(k + pos * L, k + (pos + 1) * L)
-            Q[sl, tl] = moments.mkk(a, target)
-            Q[tl, sl] = moments.mkk(target, a)
-        Q[tl, tl] = moments.mkk(target, target)
-
+        Q, d = bordered_q(moments, params, target)
         dense = np.linalg.inv(Q)
-        q_nn, q_nt, q_tn, q_tt = cache.q_inv_blocks()
-        np.testing.assert_allclose(q_nn, dense[:nr, :nr], atol=1e-10)
-        np.testing.assert_allclose(q_nt, dense[:nr, nr:], atol=1e-10)
-        np.testing.assert_allclose(q_tn, dense[nr:, :nr], atol=1e-10)
-        np.testing.assert_allclose(q_tt, dense[nr:, nr:], atol=1e-10)
+        nr = cache.n_rest
+        np.testing.assert_allclose(dense[:, nr:], d[:, None] * cache.rinv_target,
+                                   atol=1e-10)
+        np.testing.assert_allclose(dense[nr:, nr:], cache.t_block, atol=1e-10)
 
     def test_cache_size_independent_of_n(self):
         small = _instance(3, n=50)[0]
