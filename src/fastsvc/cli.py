@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -53,21 +54,23 @@ def _read_table(path: str):
             if len(row) != len(header):
                 raise InputError(f"{path!r} row {i}: expected {len(header)} fields, got {len(row)}")
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
-                bad = next(j for j, v in enumerate(row) if not _is_float(v))
+                values = None
+            if values is None or not all(map(math.isfinite, values)):
+                bad = next(j for j, v in enumerate(row) if not _is_finite(v))
                 raise InputError(
-                    f"{path!r} row {i}, column {header[bad]!r}: not numeric: {row[bad]!r}"
-                ) from None
+                    f"{path!r} row {i}, column {header[bad]!r}: not a finite number: "
+                    f"{row[bad]!r}")
+            rows.append(values)
     if not rows:
         raise InputError(f"{path!r} has no data rows")
     return header, np.asarray(rows, dtype=np.float64)
 
 
-def _is_float(v: str) -> bool:
+def _is_finite(v: str) -> bool:
     try:
-        float(v)
-        return True
+        return math.isfinite(float(v))
     except ValueError:
         return False
 

@@ -19,6 +19,17 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput
 
 
+def _check_regression(X: np.ndarray, y: np.ndarray, flags: np.ndarray):
+    """The regression contract: ``X[:, 0]`` is the constant 1, its
+    coefficient varies, and ``X`` and ``y`` are finite."""
+    if not np.allclose(X[:, 0], 1.0):
+        raise ValueError("first covariate column must be the constant 1")
+    if not flags[0]:
+        raise ValueError("the intercept coefficient must be marked varying")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise NonFiniteInput("covariates or response contain NaN or infinity")
+
+
 @dataclass(frozen=True)
 class SvcDesign:
     """Regression design bundled with the spatial basis.
@@ -54,12 +65,9 @@ class SvcDesign:
             raise DimensionMismatch("eigenvalue count differs from basis columns")
         if flags.shape[0] != X.shape[1]:
             raise DimensionMismatch("need one svc flag per covariate")
-        if not np.allclose(X[:, 0], 1.0):
-            raise ValueError("first covariate column must be the constant 1")
-        if not flags[0]:
-            raise ValueError("the intercept coefficient must be marked varying")
-        if not flags.any():
-            raise ValueError("at least one coefficient must vary")
+        _check_regression(X, y, flags)
+        if not np.isfinite(E).all():
+            raise NonFiniteInput("basis contains NaN or infinity")
 
     @property
     def n_obs(self) -> int:
@@ -148,8 +156,6 @@ def compress(design: SvcDesign, chunk: int | None = None) -> CompressedMoments:
     chunk, which is fixed by the BLAS call).
     """
     X, y, E = design.X, design.y, design.vectors
-    if not (np.isfinite(X).all() and np.isfinite(y).all() and np.isfinite(E).all()):
-        raise NonFiniteInput("design contains NaN or infinity")
     n, k = X.shape
     L = E.shape[1]
     varying = design.varying

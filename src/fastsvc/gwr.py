@@ -24,6 +24,9 @@ LOCAL_COND_LIMIT = 1e12
 #: per-site solves refused above this N (O(N^2 K^2) per bandwidth)
 GWR_SIZE_GUARD = 20000
 
+#: golden-section steps refining the best grid bandwidth
+REFINE_ITERS = 20
+
 
 @dataclass(frozen=True)
 class GwrGrid:
@@ -33,7 +36,6 @@ class GwrGrid:
     b_min: float | None = None
     b_max: float | None = None
     n_points: int = 12
-    refine_iters: int = 20
 
     def resolve(self, coords: np.ndarray) -> np.ndarray:
         span = coords.max(axis=0) - coords.min(axis=0)
@@ -127,7 +129,7 @@ def gwr_select_bandwidth(dataset: SpatialDataset,
     x1 = right - invphi * (right - left)
     x2 = left + invphi * (right - left)
     f1, f2 = score_at(x1), score_at(x2)
-    for _ in range(grid.refine_iters):
+    for _ in range(REFINE_ITERS):
         if f1 <= f2:
             right, x2, f2 = x2, x1, f1
             x1 = right - invphi * (right - left)

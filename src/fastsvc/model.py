@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import SvcDesign, compress
+from .compression import SvcDesign, _check_regression, compress
 from .eigenbasis import DEFAULT_MAX_PAIRS, EigenBasis, exact_basis, nystrom_basis
 from .errors import InsufficientData
 from .geometry import as_coords, kmeans_knots, mst_max_edge
@@ -30,7 +30,9 @@ class SpatialDataset:
     """Observations at planar sites: response, covariates, varying flags.
 
     ``X[:, 0]`` must be the constant 1; its coefficient surface doubles as
-    the spatially dependent residual term, so it always varies.
+    the spatially dependent residual term, so it always varies. Construction
+    enforces this, and finite coordinates, covariates and response, so a
+    malformed dataset fails before any fitting work.
     """
 
     coords: np.ndarray     # (N, 2)
@@ -48,10 +50,13 @@ class SpatialDataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "svc_flags", flags)
         n = coords.shape[0]
+        if X.ndim != 2:
+            raise ValueError("X must be 2-D, (N, K)")
         if y.shape[0] != n or X.shape[0] != n:
             raise ValueError("coords, y and X must agree on N")
         if flags.shape[0] != X.shape[1]:
             raise ValueError("need one svc flag per covariate")
+        _check_regression(X, y, flags)
 
     @property
     def n_obs(self) -> int:
@@ -159,8 +164,6 @@ def fit(dataset: SpatialDataset, options: FitOptions | None = None) -> SvcFit:
     n, k = dataset.n_obs, dataset.n_cov
     if n <= k:
         raise InsufficientData(f"need N > K, got N={n}, K={k}")
-    if not dataset.svc_flags.any():
-        raise ValueError("at least one coefficient must vary")
 
     timings = {}
     t0 = time.perf_counter()

@@ -6,25 +6,31 @@ target parameters is factorized once into a cache; each likelihood
 evaluation then costs O(L^3) regardless of how many coefficients vary and,
 because it runs on compressed moments, regardless of N.
 
-Derivation sketch. Order the penalized matrix ``P`` as [fixed block, other
-varying blocks, target block] and pull the off-target shrinkage scalings out
-of it. What remains is
+Derivation sketch. Keep the Gram's own column order and let ``s`` be the
+shrinkage scale vector with ones on the fixed block and on the target block
+``t``. The target-free system is
 
-    R = [[P_rest, Bt], [Bt', M_tt]]
+    R = diag(s) G diag(s) + J_off,    m = s * (W'y)
 
-where ``P_rest`` is the penalized matrix of the model without the target's
-random effect and ``M_tt`` is the target's raw Gram block (no +I). With
-``T`` the lower-right block of ``R^{-1}`` and ``V`` the target shrinkage
-diagonal, a rank-L Woodbury update and the block-determinant formula
+where ``J_off`` adds 1 to every random-effect diagonal except the target's,
+so ``R`` is the penalized matrix of the model without the target's random
+effect, bordered by the target's raw Gram block (no +I). With ``r = R^{-1} m``
+the cached moment solve, ``T = R^{-1}[t, t]`` and ``V`` the target shrinkage
+diagonal, the penalized matrix is ``P = D R D + E_t E_t'`` with ``D`` the
+identity except ``V`` on the target block and ``E_t`` the target's identity
+columns. A rank-L Woodbury update and the block-determinant formula
 |A||D - B'A^{-1}B| give
 
     coefficient solve:  w = (V^2 + T)^{-1} r_t,
-                        z_target = V w,
-                        z_rest   = r_rest - R^{-1}[:, target] w
+                        z   = r - R^{-1}[:, t] w,   then z_t = V w
     log-determinant:    ln|P| = ln|R| + ln|V^2 + T|
+    residual term:      d = (y'y - r'm) + r_t'w
 
-with ``r = R^{-1} m`` the cached moment solve. Both expressions stay finite
-as any rho approaches 0, so collapsed coefficients need no special casing.
+The last line is ``y'y - z'P z`` at the solve. Its first part cancels
+almost completely near good fits but does not depend on the target's
+(rho, alpha), so it is accumulated once per cache in extended precision;
+``r_t'w`` is a nonnegative quadratic form. Every expression stays finite as any rho
+approaches 0, so collapsed coefficients need no special casing.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .likelihood import (
     _assemble_loglik,
     _check_counts,
     _clamp_cancelled,
+    scale_vector,
     spd_factor,
     v_diag,
 )
@@ -66,22 +73,19 @@ class PerKCache:
 
     Nothing here depends on the target coefficient's (rho, alpha); rebuilding
     with different off-target parameters changes it, varying the target's
-    must not.
+    must not. Vectors and rows follow the Gram's column order.
     """
 
-    target: int               # position within the varying list
-    n_rest: int               # size of the non-target part
-    moment_solve: np.ndarray  # r = R^{-1} m, order [fixed, others..., target]
-    rinv_target: np.ndarray   # R^{-1}[:, target block], (m, L)
-    t_block: np.ndarray       # lower-right L x L block of R^{-1} (symmetric)
+    block: slice              # the target's columns in the Gram
+    moment_solve: np.ndarray  # r = R^{-1} m, (m,)
+    rinv_target: np.ndarray   # R^{-1}[:, block], (m, L)
+    t_block: np.ndarray       # R^{-1}[block, block] (symmetric)
     logdet_r: float           # ln|R|
-    m_stack: np.ndarray       # scaled moments s * m, same order (s = 1 on target)
+    residual: float           # y'y - r'm, the target-free part of d
     values: np.ndarray        # basis eigenvalues (L,)
     yty: float
     n_obs: int
     n_cov: int
-    n_basis: int
-    k_varying: int
 
 
 def build_cache(moments: CompressedMoments, params: ShrinkageParams,
@@ -89,54 +93,43 @@ def build_cache(moments: CompressedMoments, params: ShrinkageParams,
     """Factor the off-target system once for coordinate step ``target``.
 
     ``target`` indexes the varying-coefficient list. Cost is cubic in
-    ``K + (K_v - 1) L``; every subsequent target evaluation is O(L^3).
+    ``K + K_v L``; every subsequent target evaluation is O(L^3).
     """
-    k, L, m = moments.n_cov, moments.n_basis, moments.size
+    n, k = moments.n_obs, moments.n_cov
+    _check_counts(n, k)
     kv = moments.k_varying
     if params.k_varying != kv:
         raise ValueError("params length must match the number of varying coefficients")
     if not 0 <= target < kv:
         raise ValueError(f"target {target} outside [0, {kv})")
+    block = moments.block(target)
 
-    # scale: ones on fixed and target blocks, off-target shrinkage elsewhere
-    s = np.ones(m)
-    for a in range(kv):
-        if a != target:
-            s[moments.block(a)] = v_diag(params.rho[a], params.alpha[a], moments.values)
-
-    t_cols = np.arange(moments.block(target).start, moments.block(target).stop)
-    rest_cols = np.concatenate([np.arange(k)]
-                               + [np.arange(moments.block(a).start, moments.block(a).stop)
-                                  for a in range(kv) if a != target])
-    perm = np.concatenate([rest_cols, t_cols])
-
-    R = (moments.gram * np.outer(s, s))[np.ix_(perm, perm)]
-    n_rest = rest_cols.size
-    diag_pen = np.arange(k, n_rest)  # off-target random-effect diagonals
-    R[diag_pen, diag_pen] += 1.0
+    s = scale_vector(moments, params)
+    s[block] = 1.0
+    R = moments.gram * np.outer(s, s)
+    pen = np.r_[k:block.start, block.stop:moments.size]  # off-target random effects
+    R[pen, pen] += 1.0
 
     factor, logdet_r = spd_factor(R, error=SingularBlock)
-    m_stack = (s * moments.gy)[perm]
-    moment_solve = sla.cho_solve(factor, m_stack)
-    rhs = np.zeros((m, L))
-    rhs[n_rest:, :] = np.eye(L)
-    rinv_target = sla.cho_solve(factor, rhs)
-    t_block = 0.5 * (rinv_target[n_rest:] + rinv_target[n_rest:].T)
+    m = s * moments.gy
+    moment_solve = sla.cho_solve(factor, m)
+    rinv_target = sla.cho_solve(factor, np.eye(moments.size)[:, block])
+    t_block = 0.5 * (rinv_target[block] + rinv_target[block].T)
+    # y'y - r'm cancels almost completely near good fits
+    residual = float(np.longdouble(moments.yty)
+                     - moment_solve.astype(np.longdouble) @ m.astype(np.longdouble))
 
     return PerKCache(
-        target=target,
-        n_rest=n_rest,
+        block=block,
         moment_solve=moment_solve,
         rinv_target=rinv_target,
         t_block=t_block,
         logdet_r=logdet_r,
-        m_stack=m_stack,
+        residual=residual,
         values=moments.values,
         yty=moments.yty,
-        n_obs=moments.n_obs,
+        n_obs=n,
         n_cov=k,
-        n_basis=L,
-        k_varying=kv,
     )
 
 
@@ -146,38 +139,24 @@ def fast_loglik(cache: PerKCache, rho: float, alpha: float) -> LikelihoodResult:
     One L x L Cholesky per call serves both the Woodbury-updated coefficient
     solve and the block-determinant expansion of ln|P|.
     """
-    _check_counts(cache.n_obs, cache.n_cov)
-    k, L = cache.n_cov, cache.n_basis
+    k, block = cache.n_cov, cache.block
     vt = v_diag(rho, alpha, cache.values)
 
     inner = cache.t_block + np.diag(vt ** 2)
     factor, logdet_inner = spd_factor(inner, error=SingularInnerMatrix)
-    r_t = cache.moment_solve[cache.n_rest:]
+    r_t = cache.moment_solve[block]
     w = sla.cho_solve(factor, r_t)
 
-    z_target = vt * w
-    z_rest = cache.moment_solve[: cache.n_rest] - cache.rinv_target[: cache.n_rest] @ w
-    logdet_p = cache.logdet_r + logdet_inner
-
-    # d = y'y - z'm at the solve; accumulate in extended precision
-    m_rest, m_t = cache.m_stack[: cache.n_rest], cache.m_stack[cache.n_rest:]
-    zm = (z_rest.astype(np.longdouble) @ m_rest.astype(np.longdouble)
-          + z_target.astype(np.longdouble) @ (vt * m_t).astype(np.longdouble))
-    d_theta = _clamp_cancelled(float(np.longdouble(cache.yty) - zm), cache.yty,
+    z = cache.moment_solve - cache.rinv_target @ w
+    z[block] = vt * w
+    d_theta = _clamp_cancelled(cache.residual + float(r_t @ w), cache.yty,
                                "residual term")
-
-    loglik = _assemble_loglik(logdet_p, d_theta, cache.n_obs, k, cache.yty)
-
-    # reassemble coefficients in original varying order
-    u_hat = np.empty((cache.k_varying, L))
-    others = [a for a in range(cache.k_varying) if a != cache.target]
-    for pos, a in enumerate(others):
-        u_hat[a] = z_rest[k + pos * L: k + (pos + 1) * L]
-    u_hat[cache.target] = z_target
+    loglik = _assemble_loglik(cache.logdet_r + logdet_inner, d_theta,
+                              cache.n_obs, k, cache.yty)
     return LikelihoodResult(
         loglik=loglik,
-        b_hat=z_rest[:k].copy(),
-        u_hat=u_hat,
+        b_hat=z[:k],
+        u_hat=z[k:].reshape(-1, vt.shape[0]),
         d_theta=d_theta,
         sigma2_hat=d_theta / (cache.n_obs - k),
     )

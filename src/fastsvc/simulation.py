@@ -11,8 +11,8 @@ Two generators produce datasets with known coefficient surfaces:
   small-scale one.
 
 In both, covariate values are standard normal, the residual variance is
-pinned to ``noise_ratio`` times the realized signal variance (so the model
-R-squared concentrates near 1 / (1 + noise_ratio)), and all draws are
+pinned to ``NOISE_RATIO`` times the realized signal variance (so the model
+R-squared concentrates near 1 / (1 + NOISE_RATIO)), and all draws are
 seeded.
 """
 
@@ -28,7 +28,7 @@ from scipy.spatial.distance import cdist
 from .errors import ShapeMismatch, SizeGuardExceeded
 from .eigenbasis import nystrom_basis
 from .geometry import kmeans_knots
-from .gwr import GwrGrid, gwr_fit
+from .gwr import gwr_fit
 from .model import FitOptions, SpatialDataset, SvcFit, fit
 
 log = logging.getLogger(__name__)
@@ -38,6 +38,9 @@ SMALL_GEN_GUARD = 5000
 
 #: generator knot decompositions capped here
 MAX_GEN_KNOTS = 2000
+
+#: residual variance as a multiple of the realized signal variance
+NOISE_RATIO = 0.3
 
 REPORT_COLUMNS = ("method", "N", "K", "rep", "alpha_group", "rmse", "bias",
                   "corr", "t_basis_s", "t_compress_s", "t_estimate_s", "t_total_s")
@@ -53,10 +56,8 @@ class SimConfig:
     seed: int = 0
     generator: str = "small"          # small | large
     knot_count: int = MAX_GEN_KNOTS   # large generator only
-    noise_ratio: float = 0.3
     alpha_large: float = 2.0
     alpha_small: float = 0.5
-    smoother_zero_diagonal: bool = False
 
     def __post_init__(self):
         if self.k < 1 or self.n < self.k + 1:
@@ -91,14 +92,12 @@ def gen_small(config: SimConfig) -> SimInstance:
     coords = rng.standard_normal((n, 2))
 
     smoother = np.exp(-cdist(coords, coords))
-    if config.smoother_zero_diagonal:
-        np.fill_diagonal(smoother, 0.0)
     smoother /= smoother.sum(axis=1, keepdims=True)
 
     x_rand = rng.standard_normal((n, k))
     beta = 1.0 + smoother @ rng.standard_normal((n, k))
     signal = np.sum(x_rand * beta, axis=1)
-    sigma2 = config.noise_ratio * float(np.var(signal))
+    sigma2 = NOISE_RATIO * float(np.var(signal))
     y = signal + np.sqrt(sigma2) * rng.standard_normal(n)
 
     X = np.column_stack([np.ones(n), x_rand])
@@ -139,7 +138,7 @@ def gen_large(config: SimConfig) -> SimInstance:
     X = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))]) if k > 1 \
         else np.ones((n, 1))
     signal = np.sum(X * beta, axis=1)
-    sigma2 = config.noise_ratio * float(np.var(signal))
+    sigma2 = NOISE_RATIO * float(np.var(signal))
     y = signal + np.sqrt(sigma2) * rng.standard_normal(n)
 
     dataset = SpatialDataset(coords=coords, y=y, X=X,
@@ -205,7 +204,6 @@ class ExperimentSpec:
     generator: str = "large"
     gen_knot_count: int = MAX_GEN_KNOTS
     fit_options: FitOptions = field(default_factory=lambda: FitOptions(basis="nystrom"))
-    gwr_grid: GwrGrid = field(default_factory=GwrGrid)
 
 
 def _group_columns(instance: SimInstance):
@@ -267,7 +265,7 @@ def run_experiment(spec: ExperimentSpec):
                         surfaces = result.beta_surfaces
                     elif method == "gwr":
                         t0 = time.perf_counter()
-                        gfit = gwr_fit(instance.dataset, grid=spec.gwr_grid)
+                        gfit = gwr_fit(instance.dataset)
                         elapsed = time.perf_counter() - t0
                         timings = {"t_basis_s": 0.0, "t_compress_s": 0.0,
                                    "t_estimate_s": elapsed, "t_total_s": elapsed}

@@ -185,7 +185,7 @@ def dense_penalized_system(moments, params):
 
 def bordered_q(moments, params, target):
     """Unscaled bordered matrix Q of the coordinate step ``target`` and the
-    off-target scaling d, both ordered [fixed, other varying..., target].
+    off-target scaling d, both in the Gram's column order.
 
     Q keeps the raw Gram blocks and puts each off-target shrinkage on its
     diagonal as an inverse-square penalty, so it needs every off-target rho
@@ -193,24 +193,23 @@ def bordered_q(moments, params, target):
     Assembled literally from the named moment views.
     """
     k, L, kv = moments.n_cov, moments.n_basis, moments.k_varying
-    order = [a for a in range(kv) if a != target] + [target]
     m = k + kv * L
 
-    def blk(pos):
-        return slice(k + pos * L, k + (pos + 1) * L)
+    def blk(a):
+        return slice(k + a * L, k + (a + 1) * L)
 
     Q = np.zeros((m, m))
     d = np.ones(m)
     Q[:k, :k] = moments.m00
-    for pos, a in enumerate(order):
-        Q[:k, blk(pos)] = moments.m0k(a)
-        Q[blk(pos), :k] = moments.m0k(a).T
-        for pos2, b in enumerate(order):
-            Q[blk(pos), blk(pos2)] = moments.mkk(a, b)
+    for a in range(kv):
+        Q[:k, blk(a)] = moments.m0k(a)
+        Q[blk(a), :k] = moments.m0k(a).T
+        for b in range(kv):
+            Q[blk(a), blk(b)] = moments.mkk(a, b)
         if a != target:
             va = v_diag(params.rho[a], params.alpha[a], moments.values)
-            Q[blk(pos), blk(pos)] += np.diag(va ** -2.0)
-            d[blk(pos)] = va
+            Q[blk(a), blk(a)] += np.diag(va ** -2.0)
+            d[blk(a)] = va
     return Q, d
 
 

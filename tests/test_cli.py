@@ -115,6 +115,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert "row 3" in err and "'y'" in err
 
+    @pytest.mark.parametrize("column,cell", [("px", "nan"), ("y", "nan"), ("x1", "-inf")])
+    def test_non_finite_cell_exit_2(self, tmp_path, capsys, column, cell):
+        header = ["px", "py", "y", "x1"]
+        rows = [[0, 0, 1.0, 2.0], [1, 1, 0.3, 0.5], [2, 0, 1.0, 1.0],
+                [0, 2, 0.5, 0.1], [1, 2, 0.2, 0.9]]
+        rows[2][header.index(column)] = cell
+        path = tmp_path / "nonfinite.csv"
+        _write_csv(path, header, rows)
+        rc = main(["fit", "--input", str(path), "--y", "y", "--x", "x1",
+                   "--coords", "px,py"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "row 4" in err and repr(column) in err
+
     def test_too_few_rows_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
         _write_csv(path, ["px", "py", "y", "x1"],

@@ -103,10 +103,14 @@ class TestSvcDesignValidation:
         design = _design(seed=11)
         bad_y = design.y.copy()
         bad_y[3] = np.nan
-        bad = SvcDesign(X=design.X, y=bad_y, vectors=design.vectors,
-                        values=design.values, svc_flags=design.svc_flags)
         with pytest.raises(NonFiniteInput):
-            compress(bad)
+            SvcDesign(X=design.X, y=bad_y, vectors=design.vectors,
+                      values=design.values, svc_flags=design.svc_flags)
+        bad_e = design.vectors.copy()
+        bad_e[5, 1] = np.inf
+        with pytest.raises(NonFiniteInput):
+            SvcDesign(X=design.X, y=design.y, vectors=bad_e,
+                      values=design.values, svc_flags=design.svc_flags)
 
     def test_first_column_must_be_ones(self):
         design = _design(seed=12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fastsvc.errors import InsufficientData
+from fastsvc.errors import InsufficientData, NonFiniteInput
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.model import (
@@ -22,6 +22,31 @@ def _null_dataset(seed=0, n=2000, k=3):
     X = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
     y = X @ np.arange(1.0, k + 1.0) + 0.5 * rng.standard_normal(n)
     return SpatialDataset(coords=coords, y=y, X=X, svc_flags=np.ones(k, bool)), X, y
+
+
+class TestSpatialDatasetContract:
+    @pytest.mark.parametrize("defect,error", [
+        ("scaled intercept", ValueError),
+        ("fixed intercept", ValueError),
+        ("nan covariate", NonFiniteInput),
+        ("inf response", NonFiniteInput),
+        ("1-D covariates", ValueError),
+    ])
+    def test_rejected_at_construction(self, defect, error):
+        ds, X, y = _null_dataset(seed=13, n=50)
+        X, y, flags = X.copy(), y.copy(), ds.svc_flags.copy()
+        if defect == "scaled intercept":
+            X[:, 0] = 2.0
+        elif defect == "fixed intercept":
+            flags[0] = False
+        elif defect == "nan covariate":
+            X[7, 2] = np.nan
+        elif defect == "1-D covariates":
+            X, flags = X[:, 0], flags[:1]
+        else:
+            y[11] = np.inf
+        with pytest.raises(error):
+            SpatialDataset(coords=ds.coords, y=y, X=X, svc_flags=flags)
 
 
 class TestFit:

@@ -1,8 +1,10 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
+from fastsvc.errors import InsufficientData
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
 from fastsvc.model import FitOptions, fit
 from fastsvc.sequential import build_cache, fast_loglik, fit_sequential, optimize_k
@@ -24,9 +26,10 @@ class TestBuildCache:
         cold = params.with_entry(1, 0.001, 0.2)
         a = build_cache(moments, hot, 1)
         b = build_cache(moments, cold, 1)
-        for name in ("moment_solve", "rinv_target", "t_block", "m_stack"):
+        for name in ("moment_solve", "rinv_target", "t_block"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert a.logdet_r == b.logdet_r
+        assert a.residual == b.residual
 
     def test_single_varying_coefficient_degenerate_form(self):
         # only the intercept coefficient varies: R = [[X'X, B], [B', M_tt]]
@@ -53,10 +56,24 @@ class TestBuildCache:
         cache = build_cache(moments, params, target)
         Q, d = bordered_q(moments, params, target)
         dense = np.linalg.inv(Q)
-        nr = cache.n_rest
-        np.testing.assert_allclose(dense[:, nr:], d[:, None] * cache.rinv_target,
+        block = cache.block
+        np.testing.assert_allclose(dense[:, block], d[:, None] * cache.rinv_target,
                                    atol=1e-10)
-        np.testing.assert_allclose(dense[nr:, nr:], cache.t_block, atol=1e-10)
+        np.testing.assert_allclose(dense[block, block], cache.t_block, atol=1e-10)
+
+    def test_insufficient_data_raised_before_any_evaluation(self, monkeypatch):
+        import fastsvc.sequential as sequential
+
+        moments, params = _instance(15, k=3)
+        short = dataclasses.replace(moments, n_obs=moments.n_cov)
+        calls = []
+        monkeypatch.setattr(sequential, "fast_loglik",
+                            lambda *a: calls.append(a) or fast_loglik(*a))
+        with pytest.raises(InsufficientData):
+            build_cache(short, params, 0)
+        with pytest.raises(InsufficientData):
+            fit_sequential(short, params)
+        assert calls == []
 
     def test_cache_size_independent_of_n(self):
         small = _instance(3, n=50)[0]
