@@ -10,7 +10,7 @@ seeded simulation/benchmark harness.
 from .compression import CompressedMoments, SvcDesign, compress
 from .eigenbasis import EigenBasis, basis_at, exact_basis, moran_coefficient, nystrom_basis
 from .errors import FastSvcError
-from .geometry import KnotSet, kmeans_knots, mst_max_edge, pairwise_distances, proximity
+from .geometry import KnotSet, kmeans_knots, mst_max_edge, proximity
 from .gwr import GwrFit, GwrGrid, gwr_fit, gwr_fit_at, gwr_select_bandwidth
 from .likelihood import (
     LikelihoodResult,
@@ -49,7 +49,7 @@ __all__ = [
     "CompressedMoments", "SvcDesign", "compress",
     "EigenBasis", "basis_at", "exact_basis", "moran_coefficient", "nystrom_basis",
     "FastSvcError",
-    "KnotSet", "kmeans_knots", "mst_max_edge", "pairwise_distances", "proximity",
+    "KnotSet", "kmeans_knots", "mst_max_edge", "proximity",
     "GwrFit", "GwrGrid", "gwr_fit", "gwr_fit_at", "gwr_select_bandwidth",
     "LikelihoodResult", "ShrinkageParams",
     "compressed_restricted_loglik", "direct_restricted_loglik", "v_diag",

@@ -2,8 +2,9 @@
 
 All tabular I/O is headered CSV with 17-significant-digit floats (exact
 round trip for doubles); summaries are JSON. Exit codes: 0 success, 2
-malformed input (message names the offending column/row), 3 numerical or
-estimation failure (message names the typed error).
+malformed input or an invalid option value (message names the offending
+column/row or value), 3 numerical or estimation failure (message names the
+typed error).
 """
 
 from __future__ import annotations
@@ -27,7 +28,15 @@ FMT = "%.17g"
 
 
 class InputError(Exception):
-    """Malformed input table or flags; maps to exit code 2."""
+    """Malformed input table or flag value; maps to exit code 2."""
+
+
+def _checked(cls, **kwargs):
+    """Build an options object; a value it rejects is an input error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _fmt(value: float) -> str:
@@ -138,9 +147,9 @@ def _write_json(path, payload):
 
 
 def cmd_fit(args) -> int:
+    options = _checked(FitOptions, knot_count=args.knots, basis=args.basis,
+                       seed=args.seed, max_eigenpairs=args.max_eigenpairs)
     dataset, names, _ = _load_dataset(args)
-    options = FitOptions(knot_count=args.knots, basis=args.basis, seed=args.seed,
-                         max_eigenpairs=args.max_eigenpairs)
     t0 = time.perf_counter()
     result = fit(dataset, options)
     total = time.perf_counter() - t0
@@ -168,8 +177,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = SimConfig(n=args.n, k=args.k, seed=args.seed, generator=args.generator,
-                       knot_count=min(args.knots, args.n))
+    config = _checked(SimConfig, n=args.n, k=args.k, seed=args.seed,
+                      generator=args.generator, knot_count=min(args.knots, args.n))
     instance = generate(config)
     ds = instance.dataset
     x_names = [f"x{j}" for j in range(1, ds.n_cov)]
@@ -197,10 +206,10 @@ def cmd_simulate(args) -> int:
 def cmd_benchmark(args) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     n_values = tuple(int(s) for s in args.n.split(",") if s.strip())
-    spec = ExperimentSpec(methods=methods, n_values=n_values, k=args.k,
-                          reps=args.reps, seed=args.seed, generator=args.generator,
-                          gen_knot_count=args.gen_knots,
-                          fit_options=FitOptions(basis="nystrom", seed=args.seed))
+    spec = _checked(ExperimentSpec, methods=methods, n_values=n_values, k=args.k,
+                    reps=args.reps, seed=args.seed, generator=args.generator,
+                    gen_knot_count=args.gen_knots,
+                    fit_options=FitOptions(basis="nystrom", seed=args.seed))
     rows = run_experiment(spec)
     write_report(rows, args.out)
     print(f"benchmark: {len(rows)} rows -> {args.out}")
@@ -212,8 +221,9 @@ def cmd_eigen(args) -> int:
     names = _coord_names(args.coords)
     coords = np.column_stack([_column(header, data, names[0]),
                               _column(header, data, names[1])])
-    options = FitOptions(knot_count=args.knots, basis=args.basis, seed=args.seed,
-                         max_eigenpairs=args.max_eigenpairs, range_r=args.range)
+    options = _checked(FitOptions, knot_count=args.knots, basis=args.basis,
+                       seed=args.seed, max_eigenpairs=args.max_eigenpairs,
+                       range_r=args.range)
     basis = build_basis(coords, options)
     with open(f"{args.out}.vectors.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -232,8 +242,10 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_gwr(args) -> int:
+    if args.bandwidth is not None and not args.bandwidth > 0:
+        raise InputError(f"--bandwidth must be > 0, got {args.bandwidth}")
+    grid = _checked(GwrGrid, b_min=args.bmin, b_max=args.bmax, n_points=args.grid_points)
     dataset, names, _ = _load_dataset(args)
-    grid = GwrGrid(b_min=args.bmin, b_max=args.bmax, n_points=args.grid_points)
     result = gwr_fit(dataset, bandwidth=args.bandwidth, grid=grid)
     _write_surfaces(f"{args.out}.beta.csv", dataset.coords, names, result.beta_surfaces)
     _write_json(f"{args.out}.summary.json", {

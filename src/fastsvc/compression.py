@@ -92,8 +92,7 @@ class CompressedMoments:
 
     ``gram`` is the (K + K_v L) square Gram matrix of the stacked design,
     laid out as the fixed block followed by one L-block per varying
-    covariate in ``varying`` order. Block accessors expose the pieces by
-    their conventional names.
+    covariate in ``varying`` order; ``block`` gives each L-block's columns.
     """
 
     gram: np.ndarray     # (m, m), m = K + K_v * L
@@ -117,35 +116,6 @@ class CompressedMoments:
         """Column range of the a-th varying covariate's basis block."""
         lo = self.n_cov + a * self.n_basis
         return slice(lo, lo + self.n_basis)
-
-    # -- named views -------------------------------------------------------
-
-    @property
-    def m00(self) -> np.ndarray:
-        """X'X, (K, K)."""
-        return self.gram[: self.n_cov, : self.n_cov]
-
-    def m0k(self, a: int) -> np.ndarray:
-        """X'(x_k o E) for the a-th varying covariate, (K, L)."""
-        return self.gram[: self.n_cov, self.block(a)]
-
-    def mkk(self, a: int, b: int) -> np.ndarray:
-        """(x_ka o E)'(x_kb o E), (L, L)."""
-        return self.gram[self.block(a), self.block(b)]
-
-    @property
-    def m0(self) -> np.ndarray:
-        """X'y, (K,)."""
-        return self.gy[: self.n_cov]
-
-    def mk(self, a: int) -> np.ndarray:
-        """(x_k o E)'y for the a-th varying covariate, (L,)."""
-        return self.gy[self.block(a)]
-
-    def scalar_count(self) -> int:
-        """Distinct stored inner products (gram is symmetric) plus y moments."""
-        m = self.size
-        return m * (m + 1) // 2 + m + 1
 
 
 def compress(design: SvcDesign, chunk: int | None = None) -> CompressedMoments:

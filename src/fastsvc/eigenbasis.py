@@ -27,7 +27,6 @@ from .errors import (
     DegenerateKernel,
     MissingKnots,
     NonPositiveRange,
-    SingularCorrection,
     SizeGuardExceeded,
 )
 from .geometry import KnotSet, as_coords, proximity
@@ -126,17 +125,18 @@ def _positive_descending(values: np.ndarray, max_pairs: int | None):
     return keep
 
 
-def exact_basis(coords, range_r: float, max_pairs: int | None = DEFAULT_MAX_PAIRS,
-                size_guard: int = EXACT_SIZE_GUARD) -> EigenBasis:
+def exact_basis(coords, range_r: float,
+                max_pairs: int | None = DEFAULT_MAX_PAIRS) -> EigenBasis:
     """Dense eigendecomposition of the doubly centered zero-diagonal kernel.
 
     The oracle-quality construction: O(N^3) time, O(N^2) memory, guarded by
-    ``size_guard``. Retains positive eigenpairs, descending, capped.
+    ``EXACT_SIZE_GUARD``. Retains positive eigenpairs, descending, capped.
     """
     pts = as_coords(coords)
     n = pts.shape[0]
-    if n > size_guard:
-        raise SizeGuardExceeded(f"N={n} exceeds dense eigendecomposition guard {size_guard}")
+    if n > EXACT_SIZE_GUARD:
+        raise SizeGuardExceeded(
+            f"N={n} exceeds dense eigendecomposition guard {EXACT_SIZE_GUARD}")
     C = proximity(pts, pts, range_r, zero_diagonal=True)
     w, V = _centered_eigh(C)
     keep = _positive_descending(w, max_pairs)
@@ -182,10 +182,9 @@ def nystrom_basis(coords, knots: KnotSet, range_r: float,
     C_l = proximity(knots.centers, knots.centers, range_r, zero_diagonal=True)
     w, V = _centered_eigh(C_l)
     lam_hat = ((n_knots + n) / n_knots) * (w + 1.0) - 1.0
+    # lam_hat > 0 gives w + 1 > L / (L + N) > 0, so the row scaling below
+    # never divides by zero
     keep = _positive_descending(lam_hat, max_pairs)
-    corr = w[keep] + 1.0
-    if np.any(corr <= 0.0):
-        raise SingularCorrection("knot eigenvalue correction (lambda + 1) <= 0")
 
     knot_vectors = _fix_signs(V[:, keep])
     knot_values = w[keep].copy()

@@ -37,10 +37,6 @@ class DegenerateKernel(FastSvcError):
     """Centered kernel has no positive eigenvalues."""
 
 
-class SingularCorrection(FastSvcError):
-    """Knot eigenvalue correction (lambda + 1) not invertible."""
-
-
 class MissingKnots(FastSvcError):
     """Operation needs a knot-based (Nystrom) basis."""
 

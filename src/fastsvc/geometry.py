@@ -1,4 +1,4 @@
-"""Planar geometry: distances, MST-based kernel range, knot selection, kernels.
+"""Planar geometry: MST-based kernel range, knot selection, kernels.
 
 Coordinates are plain float arrays of shape (N, 2). Duplicate sites are
 tolerated everywhere; they simply produce kernel weight 1 off-diagonal.
@@ -26,11 +26,6 @@ def as_coords(points) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("coordinates contain non-finite values")
     return pts
-
-
-def pairwise_distances(a, b) -> np.ndarray:
-    """Euclidean distance matrix between two coordinate sets, shape (|a|, |b|)."""
-    return cdist(as_coords(a), as_coords(b))
 
 
 def _tree_max_edge_sq(sites: np.ndarray, i: np.ndarray, j: np.ndarray) -> float | None:
@@ -119,10 +114,9 @@ def mst_max_edge(coords) -> float:
 
 @dataclass(frozen=True)
 class KnotSet:
-    """K-means cluster centers plus the nearest-center assignment."""
+    """K-means cluster centers, the knots of a Nystrom basis."""
 
     centers: np.ndarray     # (L, 2)
-    assignment: np.ndarray  # (N,) int, index into centers
 
     @property
     def count(self) -> int:
@@ -188,7 +182,7 @@ def kmeans_knots(coords, n_knots: int, seed: int = 0) -> KnotSet:
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
-    return KnotSet(centers=centers, assignment=assignment)
+    return KnotSet(centers=centers)
 
 
 def proximity(a, b, range_r: float, zero_diagonal: bool = False) -> np.ndarray:

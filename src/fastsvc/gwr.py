@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import LocalSingularity, NoValidBandwidth
+from .errors import LocalSingularity, NoValidBandwidth, SizeGuardExceeded
 from .model import SpatialDataset
 
 #: local normal-matrix condition above this raises LocalSingularity
@@ -37,6 +37,15 @@ class GwrGrid:
     b_max: float | None = None
     n_points: int = 12
 
+    def __post_init__(self):
+        for name in ("b_min", "b_max"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if self.b_min is not None and self.b_max is not None \
+                and not self.b_min < self.b_max:
+            raise ValueError(f"need b_min < b_max, got {self.b_min} and {self.b_max}")
+
     def resolve(self, coords: np.ndarray) -> np.ndarray:
         span = coords.max(axis=0) - coords.min(axis=0)
         diam = float(np.hypot(span[0], span[1]))
@@ -44,8 +53,8 @@ class GwrGrid:
             diam = 1.0
         lo = self.b_min if self.b_min is not None else diam / 200.0
         hi = self.b_max if self.b_max is not None else 2.0 * diam
-        if not (lo > 0 and hi > lo):
-            raise ValueError("bandwidth grid must satisfy 0 < b_min < b_max")
+        if not hi > lo:
+            raise ValueError(f"bandwidth grid needs b_min < b_max, got {lo} and {hi}")
         return np.geomspace(lo, hi, self.n_points)
 
 
@@ -64,7 +73,7 @@ def _local_solves(dataset: SpatialDataset, bandwidth: float,
     coords, X, y = dataset.coords, dataset.X, dataset.y
     n, k = X.shape
     if n > GWR_SIZE_GUARD:
-        raise ValueError(f"N={n} exceeds the GWR size guard {GWR_SIZE_GUARD}")
+        raise SizeGuardExceeded(f"N={n} exceeds the GWR size guard {GWR_SIZE_GUARD}")
     beta = np.empty((n, k))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)

@@ -12,7 +12,11 @@ the squared residual norm and of all squared random-effect norms.
 
 ``direct_restricted_loglik`` assembles N-sized matrices (slow oracle).
 ``compressed_restricted_loglik`` works purely off precompressed inner
-products, so its cost is independent of N.
+products, so its cost is independent of N. There ``d`` is the penalized
+residual sum of squares ``d = y'y - z'(s o W'y)`` at the solve ``z`` of the
+shrinkage-scaled system (as in lme4, Bates et al., JSS 2015).
+``_penalized_solve`` forms that system for this route and for the per-target
+cache of ``sequential``.
 """
 
 from __future__ import annotations
@@ -156,8 +160,7 @@ def _check_counts(n: int, k: int):
         raise InsufficientData(f"need N > K, got N={n}, K={k}")
 
 
-def direct_restricted_loglik(design: SvcDesign, params: ShrinkageParams,
-                             size_guard: int = DIRECT_SIZE_GUARD) -> LikelihoodResult:
+def direct_restricted_loglik(design: SvcDesign, params: ShrinkageParams) -> LikelihoodResult:
     """Slow-path restricted log-likelihood from full N-sized matrices.
 
     Builds the stacked design ``W = [X, (x_k o E) V_k ...]``, solves the
@@ -166,8 +169,8 @@ def direct_restricted_loglik(design: SvcDesign, params: ShrinkageParams,
     """
     n, k = design.n_obs, design.n_cov
     _check_counts(n, k)
-    if n > size_guard:
-        raise SizeGuardExceeded(f"N={n} exceeds direct-likelihood guard {size_guard}")
+    if n > DIRECT_SIZE_GUARD:
+        raise SizeGuardExceeded(f"N={n} exceeds direct-likelihood guard {DIRECT_SIZE_GUARD}")
     varying = design.varying
     if params.k_varying != varying.size:
         raise ValueError("params length must match the number of varying coefficients")
@@ -200,47 +203,49 @@ def direct_restricted_loglik(design: SvcDesign, params: ShrinkageParams,
     )
 
 
+def _penalized_solve(moments: CompressedMoments, s: np.ndarray,
+                     penalized: np.ndarray, error: type):
+    """Factor and solve the scaled, penalized Gram system.
+
+    Forms ``P = diag(s) gram diag(s)`` plus 1 on the ``penalized`` diagonals
+    and solves ``P z = s o W'y``. Returns ``(factor, ln|P|, z, d)`` with
+    ``d = y'y - z'(s o W'y)`` accumulated in extended precision and not yet
+    clamped; ``error`` is raised when ``P`` is singular.
+    """
+    P = moments.gram * np.outer(s, s)
+    P[penalized, penalized] += 1.0
+    rhs = s * moments.gy
+    factor, logdet = spd_factor(P, error=error)
+    z = sla.cho_solve(factor, rhs)
+    residual = float(np.longdouble(moments.yty)
+                     - z.astype(np.longdouble) @ rhs.astype(np.longdouble))
+    return factor, logdet, z, residual
+
+
 def compressed_restricted_loglik(moments: CompressedMoments,
                                  params: ShrinkageParams) -> LikelihoodResult:
     """N-free restricted log-likelihood from compressed inner products.
 
-    The penalized matrix is the scaled Gram ``P = diag(v) gram diag(v) + J``
-    (J adds 1 to each random-effect diagonal), and the squared residual norm
-    is recovered as ``y'y - 2 z'r + z'P0 z`` with ``P0`` the scaled Gram
-    without J. That subtraction cancels almost completely near good fits, so
-    the dot products are accumulated in extended precision; small negative
-    results are clamped and grossly negative ones raise.
+    The penalized matrix is the scaled Gram ``P = diag(s) gram diag(s) + J``
+    (J adds 1 to each random-effect diagonal) and the residual term is
+    ``d = y'y - z'(s o W'y)``. That subtraction cancels almost completely
+    near good fits: small negative values are clamped to 0 and grossly
+    negative ones raise.
     """
     n, k = moments.n_obs, moments.n_cov
     _check_counts(n, k)
     if params.k_varying != moments.k_varying:
         raise ValueError("params length must match the number of varying coefficients")
-    L = moments.n_basis
-    m = moments.size
 
-    v = scale_vector(moments, params)
-    P = moments.gram * np.outer(v, v)
-    idx = np.arange(k, m)
-    P[idx, idx] += 1.0
-    rhs = v * moments.gy
-    factor, logdet = spd_factor(P)
-    z = sla.cho_solve(factor, rhs)
-
-    w = v * z
-    Gw = moments.gram @ w
-    zl = z.astype(np.longdouble)
-    eps2 = (np.longdouble(moments.yty)
-            - 2.0 * zl @ rhs.astype(np.longdouble)
-            + w.astype(np.longdouble) @ Gw.astype(np.longdouble))
-    eps2 = _clamp_cancelled(float(eps2), moments.yty, "compressed residual norm")
-
-    u = z[k:]
-    d_theta = float(eps2 + u @ u)
+    s = scale_vector(moments, params)
+    _, logdet, z, residual = _penalized_solve(
+        moments, s, np.arange(k, moments.size), SingularP)
+    d_theta = _clamp_cancelled(residual, moments.yty, "compressed residual term")
     loglik = _assemble_loglik(logdet, d_theta, n, k, moments.yty)
     return LikelihoodResult(
         loglik=loglik,
         b_hat=z[:k].copy(),
-        u_hat=u.reshape(moments.k_varying, L).copy(),
+        u_hat=z[k:].reshape(moments.k_varying, moments.n_basis).copy(),
         d_theta=d_theta,
         sigma2_hat=d_theta / (n - k),
     )

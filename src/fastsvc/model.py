@@ -91,12 +91,12 @@ class FitOptions:
     def __post_init__(self):
         if self.basis not in ("exact", "nystrom", "auto"):
             raise ValueError(f"unknown basis kind {self.basis!r}")
-        if self.knot_count is not None and self.knot_count < 1:
-            raise ValueError("knot_count must be positive")
-        if self.max_eigenpairs < 1 or self.max_sweeps < 1 or self.eval_budget < 1:
-            raise ValueError("counts must be positive")
+        for name in ("knot_count", "max_eigenpairs", "max_sweeps", "eval_budget"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if not self.tol >= 0:
-            raise ValueError("tol must be nonnegative")
+            raise ValueError(f"tol must be nonnegative, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,13 @@ columns. A rank-L Woodbury update and the block-determinant formula
     log-determinant:    ln|P| = ln|R| + ln|V^2 + T|
     residual term:      d = (y'y - r'm) + r_t'w
 
-The last line is ``y'y - z'P z`` at the solve. Its first part cancels
-almost completely near good fits but does not depend on the target's
-(rho, alpha), so it is accumulated once per cache in extended precision;
-``r_t'w`` is a nonnegative quadratic form. Every expression stays finite as any rho
+The last line is ``y'y - z'(s o W'y)`` at the solve, the identity the
+compressed route uses. Its first part, ``y'y - r'm``, is the same identity
+for the target-free system, so ``likelihood._penalized_solve`` builds,
+factors and solves ``R`` as it does the compressed route's ``P``. That part
+cancels almost completely near good fits but does not depend on the
+target's (rho, alpha), so it is accumulated once per cache in extended
+precision; ``r_t'w`` is a nonnegative quadratic form. Every expression stays finite as any rho
 approaches 0, so collapsed coefficients need no special casing.
 """
 
@@ -49,6 +52,7 @@ from .likelihood import (
     _assemble_loglik,
     _check_counts,
     _clamp_cancelled,
+    _penalized_solve,
     scale_vector,
     spd_factor,
     v_diag,
@@ -106,18 +110,13 @@ def build_cache(moments: CompressedMoments, params: ShrinkageParams,
 
     s = scale_vector(moments, params)
     s[block] = 1.0
-    R = moments.gram * np.outer(s, s)
-    pen = np.r_[k:block.start, block.stop:moments.size]  # off-target random effects
-    R[pen, pen] += 1.0
-
-    factor, logdet_r = spd_factor(R, error=SingularBlock)
-    m = s * moments.gy
-    moment_solve = sla.cho_solve(factor, m)
-    rinv_target = sla.cho_solve(factor, np.eye(moments.size)[:, block])
+    off_target = np.r_[k:block.start, block.stop:moments.size]
+    factor, logdet_r, moment_solve, residual = _penalized_solve(
+        moments, s, off_target, SingularBlock)
+    # the target's identity columns, without an m x m identity
+    target_cols = np.eye(moments.size, moments.n_basis, -block.start)
+    rinv_target = sla.cho_solve(factor, target_cols)
     t_block = 0.5 * (rinv_target[block] + rinv_target[block].T)
-    # y'y - r'm cancels almost completely near good fits
-    residual = float(np.longdouble(moments.yty)
-                     - moment_solve.astype(np.longdouble) @ m.astype(np.longdouble))
 
     return PerKCache(
         block=block,
@@ -233,8 +232,7 @@ def fit_sequential(moments: CompressedMoments,
     parameters and maximizes the target pair. A coefficient whose optimal
     rho pins at the lower search bound is collapsed to a constant (rho set
     to exactly 0) and skipped in later sweeps. The returned result is
-    recomputed from the compressed likelihood at the final parameters as a
-    consistency check.
+    recomputed from the compressed likelihood at the final parameters.
 
     Returns
     -------

@@ -42,6 +42,9 @@ MAX_GEN_KNOTS = 2000
 #: residual variance as a multiple of the realized signal variance
 NOISE_RATIO = 0.3
 
+#: estimators the benchmark runner compares
+METHODS = ("msvc", "gwr")
+
 REPORT_COLUMNS = ("method", "N", "K", "rep", "alpha_group", "rmse", "bias",
                   "corr", "t_basis_s", "t_compress_s", "t_estimate_s", "t_total_s")
 
@@ -61,11 +64,12 @@ class SimConfig:
 
     def __post_init__(self):
         if self.k < 1 or self.n < self.k + 1:
-            raise ValueError("need n >= k + 1 and k >= 1")
+            raise ValueError(f"need k >= 1 and n >= k + 1, got n={self.n}, k={self.k}")
         if self.generator not in ("small", "large"):
             raise ValueError(f"unknown generator {self.generator!r}")
         if not 1 <= self.knot_count <= MAX_GEN_KNOTS:
-            raise ValueError(f"knot_count must be in [1, {MAX_GEN_KNOTS}]")
+            raise ValueError(
+                f"knot_count must be in [1, {MAX_GEN_KNOTS}], got {self.knot_count}")
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,11 @@ class ExperimentSpec:
     gen_knot_count: int = MAX_GEN_KNOTS
     fit_options: FitOptions = field(default_factory=lambda: FitOptions(basis="nystrom"))
 
+    def __post_init__(self):
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"unknown methods {unknown}; choose from {', '.join(METHODS)}")
+
 
 def _group_columns(instance: SimInstance):
     """Evaluation columns keyed by alpha group label."""
@@ -263,15 +272,13 @@ def run_experiment(spec: ExperimentSpec):
                             "t_total_s": sum(result.timings.values()),
                         }
                         surfaces = result.beta_surfaces
-                    elif method == "gwr":
+                    else:  # gwr
                         t0 = time.perf_counter()
                         gfit = gwr_fit(instance.dataset)
                         elapsed = time.perf_counter() - t0
                         timings = {"t_basis_s": 0.0, "t_compress_s": 0.0,
                                    "t_estimate_s": elapsed, "t_total_s": elapsed}
                         surfaces = gfit.beta_surfaces
-                    else:
-                        raise ValueError(f"unknown method {method!r}")
                     rows.extend(_metric_rows(base, instance, surfaces, timings))
                 except Exception:
                     log.exception("replication failed: %s", base)

@@ -160,8 +160,8 @@ def sigma_form_reml(design, params):
 
 
 def dense_penalized_system(moments, params):
-    """Penalized matrix and right-hand side assembled block by block from the
-    named moment views (no scaled-Gram shortcut)."""
+    """Penalized matrix and right-hand side assembled block by block from
+    slices of the Gram (no scaled-Gram shortcut)."""
     k, L, kv = moments.n_cov, moments.n_basis, moments.k_varying
     vs = [v_diag(params.rho[a], params.alpha[a], moments.values) for a in range(kv)]
     m = k + kv * L
@@ -169,17 +169,18 @@ def dense_penalized_system(moments, params):
     def blk(a):
         return slice(k + a * L, k + (a + 1) * L)
 
+    G, gy = moments.gram, moments.gy
     P = np.zeros((m, m))
-    P[:k, :k] = moments.m00
+    P[:k, :k] = G[:k, :k]
     rhs = np.zeros(m)
-    rhs[:k] = moments.m0
+    rhs[:k] = gy[:k]
     for a in range(kv):
-        P[:k, blk(a)] = moments.m0k(a) * vs[a][None, :]
+        P[:k, blk(a)] = G[:k, blk(a)] * vs[a][None, :]
         P[blk(a), :k] = P[:k, blk(a)].T
         for b in range(kv):
-            P[blk(a), blk(b)] = vs[a][:, None] * moments.mkk(a, b) * vs[b][None, :]
+            P[blk(a), blk(b)] = vs[a][:, None] * G[blk(a), blk(b)] * vs[b][None, :]
         P[blk(a), blk(a)] += np.eye(L)
-        rhs[blk(a)] = vs[a] * moments.mk(a)
+        rhs[blk(a)] = vs[a] * gy[blk(a)]
     return P, rhs
 
 
@@ -190,7 +191,7 @@ def bordered_q(moments, params, target):
     Q keeps the raw Gram blocks and puts each off-target shrinkage on its
     diagonal as an inverse-square penalty, so it needs every off-target rho
     positive; the target block is the raw Gram block with no penalty.
-    Assembled literally from the named moment views.
+    Assembled literally from slices of the Gram.
     """
     k, L, kv = moments.n_cov, moments.n_basis, moments.k_varying
     m = k + kv * L
@@ -198,14 +199,15 @@ def bordered_q(moments, params, target):
     def blk(a):
         return slice(k + a * L, k + (a + 1) * L)
 
+    G = moments.gram
     Q = np.zeros((m, m))
     d = np.ones(m)
-    Q[:k, :k] = moments.m00
+    Q[:k, :k] = G[:k, :k]
     for a in range(kv):
-        Q[:k, blk(a)] = moments.m0k(a)
-        Q[blk(a), :k] = moments.m0k(a).T
+        Q[:k, blk(a)] = G[:k, blk(a)]
+        Q[blk(a), :k] = G[:k, blk(a)].T
         for b in range(kv):
-            Q[blk(a), blk(b)] = moments.mkk(a, b)
+            Q[blk(a), blk(b)] = G[blk(a), blk(b)]
         if a != target:
             va = v_diag(params.rho[a], params.alpha[a], moments.values)
             Q[blk(a), blk(a)] += np.diag(va ** -2.0)

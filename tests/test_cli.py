@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fastsvc.cli import main
+from fastsvc.gwr import GWR_SIZE_GUARD
 from fastsvc.simulation import REPORT_COLUMNS
 
 
@@ -151,6 +152,31 @@ class TestFit:
         assert "Singular" in capsys.readouterr().err
 
 
+class TestInvalidOptions:
+    @pytest.mark.parametrize("command,flags,named", [
+        ("fit", ["--knots", "0"], "got 0"),
+        ("fit", ["--max-eigenpairs", "0"], "got 0"),
+        ("gwr", ["--bmin", "5", "--bmax", "1"], "got 5.0 and 1.0"),
+        ("gwr", ["--bandwidth", "-1"], "got -1.0"),
+        ("simulate", ["--k", "0"], "k=0"),
+    ], ids=["fit-knots", "fit-max-eigenpairs", "gwr-bmin-above-bmax", "gwr-bandwidth",
+            "simulate-k"])
+    def test_exit_2_naming_the_value(self, tmp_path, capsys, command, flags, named):
+        out = str(tmp_path / "out")
+        if command == "simulate":
+            argv = ["simulate", "--n", "50", *flags, "--out", out]
+        else:
+            path = tmp_path / "d.csv"
+            _write_csv(path, ["px", "py", "y", "x1"],
+                       [[0, 0, 1.0, 2.0], [1, 1, 0.3, 0.5], [2, 0, 1.0, 1.0],
+                        [0, 2, 0.5, 0.1], [1, 2, 0.2, 0.9]])
+            argv = [command, "--input", str(path), "--y", "y", "--x", "x1", *flags,
+                    "--out", out]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+
 class TestEigen:
     def test_export_round_trip_orthonormal(self, tmp_path):
         prefix = tmp_path / "pts"
@@ -184,6 +210,17 @@ class TestGwrCommand:
         assert header == ["px", "py", "beta_intercept", "beta_x1"]
         assert np.isfinite(data).all()
 
+    def test_size_guard_exit_3(self, tmp_path, capsys):
+        # the guard fires before any kernel work
+        n = GWR_SIZE_GUARD + 1
+        rng = np.random.default_rng(0)
+        path = tmp_path / "big.csv"
+        _write_csv(path, ["px", "py", "y", "x1"], rng.standard_normal((n, 4)).tolist())
+        rc = main(["gwr", "--input", str(path), "--y", "y", "--x", "x1",
+                   "--bandwidth", "1.0", "--out", str(tmp_path / "g")])
+        assert rc == 3
+        assert "SizeGuardExceeded" in capsys.readouterr().err
+
 
 class TestBenchmark:
     def test_row_count_and_schema(self, tmp_path):
@@ -197,6 +234,14 @@ class TestBenchmark:
         # header + methods(2) x sizes(2) x reps(2) x alpha groups(2)
         assert len(rows) == 1 + 16
         assert rows[0] == list(REPORT_COLUMNS)
+
+    def test_unknown_method_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        rc = main(["benchmark", "--methods", "msvc,foo", "--n", "100", "--k", "2",
+                   "--reps", "1", "--out", str(out)])
+        assert rc == 2
+        assert "'foo'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_methods(self, tmp_path):
         out = tmp_path / "empty.csv"

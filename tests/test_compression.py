@@ -27,14 +27,16 @@ class TestCompress:
         mom = compress(design)
         m00, m0k, mkk, m0, mk, myy = naive_moments(
             design.X, design.vectors, design.y, design.varying)
-        np.testing.assert_allclose(mom.m00, m00, atol=1e-12 * 40)
-        np.testing.assert_allclose(mom.m0, m0, atol=1e-12 * 40)
+        k = mom.n_cov
+        np.testing.assert_allclose(mom.gram[:k, :k], m00, atol=1e-12 * 40)
+        np.testing.assert_allclose(mom.gy[:k], m0, atol=1e-12 * 40)
         assert mom.yty == pytest.approx(myy, rel=1e-12)
         for a in range(mom.k_varying):
-            np.testing.assert_allclose(mom.m0k(a), m0k[a], atol=1e-10)
-            np.testing.assert_allclose(mom.mk(a), mk[a], atol=1e-10)
+            np.testing.assert_allclose(mom.gram[:k, mom.block(a)], m0k[a], atol=1e-10)
+            np.testing.assert_allclose(mom.gy[mom.block(a)], mk[a], atol=1e-10)
             for b in range(mom.k_varying):
-                np.testing.assert_allclose(mom.mkk(a, b), mkk[a][b], atol=1e-10)
+                np.testing.assert_allclose(mom.gram[mom.block(a), mom.block(b)],
+                                           mkk[a][b], atol=1e-10)
 
     def test_zero_response(self):
         design = _design(seed=2)
@@ -51,7 +53,7 @@ class TestCompress:
         design = _design(seed=3, n=60, k=1)
         mom = compress(design)
         # X'(1 o E) = column sums of E, which are ~0 for the exact basis
-        assert np.abs(mom.m0k(0)).max() < 1e-8
+        assert np.abs(mom.gram[:1, mom.block(0)]).max() < 1e-8
 
     def test_row_permutation_invariance(self):
         design = _design(seed=4, n=150, k=3)
@@ -81,8 +83,10 @@ class TestCompress:
     def test_scalar_count_bound(self):
         design = _design(seed=8, n=50, k=3, max_pairs=6)
         mom = compress(design)
-        k, L = mom.n_cov, mom.n_basis
-        assert mom.scalar_count() <= k ** 2 * (L + 1) ** 2 + k + 1
+        k, L, m = mom.n_cov, mom.n_basis, mom.size
+        # distinct Gram entries (it is symmetric), then W'y and y'y
+        scalar_count = m * (m + 1) // 2 + m + 1
+        assert scalar_count <= k ** 2 * (L + 1) ** 2 + k + 1
 
     def test_non_varying_columns_excluded(self):
         flags = np.array([True, True, False])

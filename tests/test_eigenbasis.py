@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fastsvc.eigenbasis import (
+    EXACT_SIZE_GUARD,
     basis_at,
     exact_basis,
     moran_coefficient,
@@ -59,9 +60,10 @@ class TestExactBasis:
         assert np.all(peaks > 0)
 
     def test_size_guard(self):
-        pts = _random_sites(5, 30)
+        # the guard fires before the kernel is built
+        pts = _random_sites(5, EXACT_SIZE_GUARD + 1)
         with pytest.raises(SizeGuardExceeded):
-            exact_basis(pts, 1.0, size_guard=10)
+            exact_basis(pts, 1.0)
 
     def test_degenerate_kernel(self):
         # a saturated kernel (huge range) has no positive centered eigenvalues
@@ -122,7 +124,7 @@ class TestNystromBasis:
         pts = _random_sites(10, 120)
         r = mst_max_edge(pts)
         ex = exact_basis(pts, r, max_pairs=None)
-        knots = KnotSet(centers=pts.copy(), assignment=np.arange(120))
+        knots = KnotSet(centers=pts.copy())
         ny = nystrom_basis(pts, knots, r, max_pairs=None)
         m = min(10, ex.n_pairs)
         for l in range(m):

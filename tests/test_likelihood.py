@@ -104,7 +104,7 @@ class TestCompressedForm:
         params = ShrinkageParams(np.zeros(3), np.ones(3))
         c = compressed_restricted_loglik(moments, params)
         b = c.b_hat
-        rss = moments.yty - 2 * b @ moments.m0 + b @ moments.m00 @ b
+        rss = moments.yty - 2 * b @ moments.gy[:3] + b @ moments.gram[:3, :3] @ b
         _, rss_ols, _ = ols_reml(design.X, design.y)
         assert c.d_theta == pytest.approx(rss, rel=1e-10)
         assert c.d_theta == pytest.approx(rss_ols, rel=1e-10)

@@ -42,7 +42,7 @@ class TestBuildCache:
                          values=design.values, svc_flags=np.array([True, False]))
         mom = compress(solo)
         cache = build_cache(mom, ShrinkageParams(np.array([0.8]), np.array([1.0])), 0)
-        sign, logdet = np.linalg.slogdet(mom.m00)
+        sign, logdet = np.linalg.slogdet(mom.gram[:mom.n_cov, :mom.n_cov])
         assert sign > 0
         sign_t, logdet_t = np.linalg.slogdet(cache.t_block)
         assert sign_t > 0

@@ -157,6 +157,10 @@ class TestRunExperiment:
         write_report(rows, out)
         assert out.read_text().strip() == ",".join(REPORT_COLUMNS)
 
+    def test_unknown_method_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'foo'"):
+            ExperimentSpec(methods=("msvc", "foo"))
+
     def test_row_count_arithmetic(self, tmp_path):
         spec = ExperimentSpec(methods=("msvc",), n_values=(150, 200), k=2, reps=2,
                               seed=0, generator="large", gen_knot_count=150,
