@@ -31,10 +31,11 @@ class InputError(Exception):
     """Malformed input table or flag value; maps to exit code 2."""
 
 
-def _checked(cls, **kwargs):
-    """Build an options object; a value it rejects is an input error."""
+def _checked(fn, **kwargs):
+    """Build an options object (or call ``fn``); a value it rejects is an
+    input error."""
     try:
-        return cls(**kwargs)
+        return fn(**kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -169,6 +170,7 @@ def cmd_fit(args) -> int:
         "loglik": result.loglik,
         "sweeps": result.trace.n_sweeps,
         "converged": result.trace.converged,
+        "failed_evaluations": result.trace.failed,
         "timings_s": {**result.timings, "total": total},
     })
     print(f"fit: N={dataset.n_obs} K={dataset.n_cov} loglik={result.loglik:.6f} "
@@ -246,6 +248,8 @@ def cmd_gwr(args) -> int:
         raise InputError(f"--bandwidth must be > 0, got {args.bandwidth}")
     grid = _checked(GwrGrid, b_min=args.bmin, b_max=args.bmax, n_points=args.grid_points)
     dataset, names, _ = _load_dataset(args)
+    if args.bandwidth is None:  # a bound left out defaults from the data
+        _checked(grid.resolve, coords=dataset.coords)
     result = gwr_fit(dataset, bandwidth=args.bandwidth, grid=grid)
     _write_surfaces(f"{args.out}.beta.csv", dataset.coords, names, result.beta_surfaces)
     _write_json(f"{args.out}.summary.json", {

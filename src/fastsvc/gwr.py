@@ -54,7 +54,8 @@ class GwrGrid:
         lo = self.b_min if self.b_min is not None else diam / 200.0
         hi = self.b_max if self.b_max is not None else 2.0 * diam
         if not hi > lo:
-            raise ValueError(f"bandwidth grid needs b_min < b_max, got {lo} and {hi}")
+            raise ValueError(f"bandwidth grid needs b_min < b_max, got {lo} and {hi} "
+                             "(a bound not given defaults from the site extent)")
         return np.geomspace(lo, hi, self.n_points)
 
 

@@ -97,6 +97,8 @@ class LikelihoodResult:
     u_hat: np.ndarray   # (K_v, L) standardized random effects per varying coef
     d_theta: float      # squared residual norm + sum of squared u norms
     sigma2_hat: float   # profiled residual variance d / (N - K)
+    grad: np.ndarray | None = None  # d loglik / d(log rho, alpha) of a
+                                    # coordinate step's target, if computed
 
 
 def v_diag(rho: float, alpha: float, values: np.ndarray) -> np.ndarray:

@@ -34,6 +34,20 @@ cancels almost completely near good fits but does not depend on the
 target's (rho, alpha), so it is accumulated once per cache in extended
 precision; ``r_t'w`` is a nonnegative quadratic form. Every expression stays finite as any rho
 approaches 0, so collapsed coefficients need no special casing.
+
+Gradient. With ``A = V^2 + T`` only ``V = rho diag(lambda ** (alpha / 2))``
+depends on the target's parameters, and ``d ln|A| / d v_l = 2 v_l [A^{-1}]_ll``,
+``d(d) / d v_l = -2 v_l w_l^2``, ``d v_l / d ln rho = v_l`` and
+``d v_l / d alpha = v_l ln(lambda_l) / 2``. With
+``g_l = v_l^2 ((N - K) w_l^2 / d - [A^{-1}]_ll)`` the loglik's gradient is
+
+    d loglik / d ln rho = sum_l g_l,    d loglik / d alpha = sum_l g_l ln(lambda_l) / 2
+
+``diag(A^{-1})`` is the column sums of squares of the inverse Cholesky
+factor of ``A``, one triangular inverse per evaluation that asks for the
+gradient (the simplex search does not). Every ``g_l``
+carries ``v_l^2``, so the gradient in ln rho vanishes like rho^2 as rho
+approaches 0: the likelihood is flat there, which ``optimize_k`` allows for.
 """
 
 from __future__ import annotations
@@ -42,6 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 from .compression import CompressedMoments
@@ -69,6 +84,16 @@ RESTARTS = ((0.1, 0.5), (1.0, 1.0), (1.0, 2.0))
 
 #: rho at or below this multiple of its lower bound collapses the coefficient
 COLLAPSE_FACTOR = 1.5
+
+#: L-BFGS-B stops when a step lowers -loglik by less than this relative amount
+GRAD_FTOL = 1e-12
+
+#: ... or when the projected gradient (nats per unit of log rho or alpha) is below this
+GRAD_GTOL = 1e-5
+
+#: a gradient search within this many nats of the collapsed loglik is checked
+#: by the simplex search
+COLLAPSE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -132,11 +157,14 @@ def build_cache(moments: CompressedMoments, params: ShrinkageParams,
     )
 
 
-def fast_loglik(cache: PerKCache, rho: float, alpha: float) -> LikelihoodResult:
+def fast_loglik(cache: PerKCache, rho: float, alpha: float,
+                gradient: bool = True) -> LikelihoodResult:
     """Restricted log-likelihood at target (rho, alpha), off-target fixed.
 
-    One L x L Cholesky per call serves both the Woodbury-updated coefficient
-    solve and the block-determinant expansion of ln|P|.
+    One L x L Cholesky per call serves the Woodbury-updated coefficient
+    solve, the block-determinant expansion of ln|P| and, with ``gradient``,
+    the gradient of the loglik in (log rho, alpha), returned as ``grad``
+    (its triangular inverse costs about as much as the rest of the call).
     """
     k, block = cache.n_cov, cache.block
     vt = v_diag(rho, alpha, cache.values)
@@ -150,60 +178,128 @@ def fast_loglik(cache: PerKCache, rho: float, alpha: float) -> LikelihoodResult:
     z[block] = vt * w
     d_theta = _clamp_cancelled(cache.residual + float(r_t @ w), cache.yty,
                                "residual term")
+    nmk = cache.n_obs - k
     loglik = _assemble_loglik(cache.logdet_r + logdet_inner, d_theta,
                               cache.n_obs, k, cache.yty)
+    grad = None
+    if gradient:
+        # diag(A^{-1}) from the inverse factor; cho_factor leaves the input's
+        # entries in the other triangle, so they are zeroed before inverting
+        factor_inv, _ = lapack.dtrtri(np.tril(factor[0]), lower=1)
+        g = vt ** 2 * (nmk * w ** 2 / d_theta
+                       - np.einsum("ij,ij->j", factor_inv, factor_inv))
+        grad = np.array([g.sum(), 0.5 * (g @ np.log(cache.values))])
     return LikelihoodResult(
         loglik=loglik,
         b_hat=z[:k],
         u_hat=z[k:].reshape(-1, vt.shape[0]),
         d_theta=d_theta,
-        sigma2_hat=d_theta / (cache.n_obs - k),
+        sigma2_hat=d_theta / nmk,
+        grad=grad,
     )
 
 
+class _BudgetSpent(Exception):
+    """The search asked for an evaluation beyond its budget."""
+
+
 def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
-               budget: int = 120):
+               budget: int = 120, sweep: int = 0, failures: dict | None = None):
     """Maximize the target coordinate's restricted likelihood.
 
-    Derivative-free simplex search over (log rho, alpha) with fixed restarts,
-    never returning a point worse than the incoming one. Returns
-    ``(rho, alpha, loglik, n_eval)``; on total optimizer failure the incoming
-    parameters come back unchanged.
+    L-BFGS-B on the analytic gradient over the box in (log rho, alpha),
+    started from the incoming pair and, in the first sweep (``sweep == 0``)
+    only, also from ``RESTARTS``. The gradient in log rho vanishes as rho
+    approaches 0, so a gradient search can stop on that plateau or short of
+    the bound. When its result pins rho at the lower bound, or beats the
+    exactly collapsed loglik (rho = 0) by less than ``COLLAPSE_MARGIN``
+    nats, the derivative-free simplex search from ``RESTARTS`` runs as
+    well, and the coefficient collapses only if that search also pins.
+
+    At most ``budget`` calls of ``fast_loglik``. A failed evaluation is
+    counted in ``failures`` (error class name -> count) and never aborts
+    the step. Returns ``(rho, alpha, loglik, n_eval)``, never a point worse
+    than the incoming one; on total failure the incoming parameters come
+    back unchanged.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     lo = np.log(RHO_BOUNDS[0])
     hi = np.log(RHO_BOUNDS[1])
+    box = [(lo, hi), ALPHA_BOUNDS]
+    collapse_at = COLLAPSE_FACTOR * RHO_BOUNDS[0]
+    failures = {} if failures is None else failures
     n_eval = 0
 
-    def objective(x):
+    def evaluate(rho, alpha, gradient=True):
+        """One counted ``fast_loglik`` call; None when it fails."""
         nonlocal n_eval
+        if n_eval >= budget:
+            raise _BudgetSpent
         n_eval += 1
         try:
-            return -fast_loglik(cache, float(np.exp(x[0])), float(x[1])).loglik
-        except FastSvcError:
-            return np.inf
+            return fast_loglik(cache, rho, alpha, gradient)
+        except FastSvcError as exc:
+            name = type(exc).__name__
+            failures[name] = failures.get(name, 0) + 1
+            return None
+
+    def point(rho, alpha):
+        return np.array([np.clip(np.log(max(rho, RHO_BOUNDS[0])), lo, hi),
+                         np.clip(alpha, *ALPHA_BOUNDS)])
+
+    def search(best, x0, method, first=None, **options):
+        """Best ``(loglik, rho, alpha)`` of ``best`` and the points ``method``
+        evaluates from ``x0``; ``first`` is the known evaluation at ``x0``."""
+        jac = method == "L-BFGS-B"
+
+        def objective(x):
+            nonlocal best, first
+            if first is not None:
+                res, first = first, None
+            else:
+                rho, alpha = float(np.exp(x[0])), float(x[1])
+                res = evaluate(rho, alpha, jac)
+                if res is not None and res.loglik > best[0]:
+                    best = (res.loglik, rho, alpha)
+            if res is None:  # reads as +inf, which no search accepts
+                return (np.inf, np.zeros(2)) if jac else np.inf
+            return (-res.loglik, -res.grad) if jac else -res.loglik
+
+        try:
+            minimize(objective, x0, method=method, jac=jac or None, bounds=box,
+                     options=options)
+        except _BudgetSpent:
+            pass
+        return best
 
     rho_in = float(params.rho[target])
     alpha_in = float(params.alpha[target])
-    try:
-        best_ll = fast_loglik(cache, rho_in, alpha_in).loglik
-    except FastSvcError:
-        best_ll = -np.inf
-    n_eval += 1
-    best = (rho_in, alpha_in)
+    incoming = evaluate(rho_in, alpha_in)
+    start = (-np.inf if incoming is None else incoming.loglik, rho_in, alpha_in)
+    best = start
+    lbfgs = dict(ftol=GRAD_FTOL, gtol=GRAD_GTOL)
+    if not (RHO_BOUNDS[0] <= rho_in <= RHO_BOUNDS[1]
+            and ALPHA_BOUNDS[0] <= alpha_in <= ALPHA_BOUNDS[1]):
+        best = search(best, point(rho_in, alpha_in), "L-BFGS-B", **lbfgs)
+    elif incoming is not None:
+        best = search(best, point(rho_in, alpha_in), "L-BFGS-B", first=incoming,
+                      **lbfgs)
+    for rho0, alpha0 in RESTARTS if sweep == 0 else ():
+        best = search(best, point(rho0, alpha0), "L-BFGS-B", **lbfgs)
 
-    bounds = [(lo, hi), ALPHA_BOUNDS]
-    per_start = max(10, (budget - 1) // len(RESTARTS))
-    for rho0, alpha0 in RESTARTS:
-        x0 = np.array([np.clip(np.log(rho0), lo, hi),
-                       np.clip(alpha0, *ALPHA_BOUNDS)])
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds,
-                       options={"maxfev": per_start, "xatol": 1e-4, "fatol": 1e-7})
-        if np.isfinite(res.fun) and -res.fun > best_ll:
-            best_ll = -res.fun
-            best = (float(np.exp(res.x[0])), float(res.x[1]))
-    return best[0], best[1], best_ll, n_eval
+    if n_eval < budget:
+        collapsed = evaluate(0.0, best[2], gradient=False)
+        if collapsed is not None and (best[1] <= collapse_at
+                                      or best[0] - collapsed.loglik < COLLAPSE_MARGIN):
+            simplex = start
+            per_start = max(1, (budget - n_eval) // len(RESTARTS))
+            for rho0, alpha0 in RESTARTS:
+                simplex = search(simplex, point(rho0, alpha0), "Nelder-Mead",
+                                 maxfev=per_start, xatol=1e-4, fatol=1e-7)
+            if simplex[1] <= collapse_at or best[1] <= collapse_at or simplex[0] > best[0]:
+                best = simplex
+    return best[1], best[2], best[0], n_eval
 
 
 @dataclass
@@ -212,6 +308,7 @@ class FitTrace:
 
     sweep_logliks: list = field(default_factory=list)
     eval_counts: list = field(default_factory=list)
+    failed: dict = field(default_factory=dict)  # error class -> failed evaluations
     collapsed: np.ndarray | None = None
     converged: bool = False
     reason: str = ""
@@ -229,9 +326,11 @@ def fit_sequential(moments: CompressedMoments,
     """Sweep the varying coefficients until the likelihood gain drops below tol.
 
     Each coordinate step rebuilds its cache at the current off-target
-    parameters and maximizes the target pair. A coefficient whose optimal
+    parameters and maximizes the target pair with ``optimize_k``, which
+    tries its restarts in the first sweep only. A coefficient whose optimal
     rho pins at the lower search bound is collapsed to a constant (rho set
-    to exactly 0) and skipped in later sweeps. The returned result is
+    to exactly 0) and skipped in later sweeps. Failed evaluations are
+    summed by error class in ``FitTrace.failed``. The returned result is
     recomputed from the compressed likelihood at the final parameters.
 
     Returns
@@ -257,7 +356,8 @@ def fit_sequential(moments: CompressedMoments,
             if trace.collapsed[a]:
                 continue
             cache = build_cache(moments, params, a)
-            rho, alpha, ll_a, n_eval = optimize_k(cache, params, a, budget=budget)
+            rho, alpha, ll_a, n_eval = optimize_k(cache, params, a, budget=budget,
+                                                  sweep=sweep, failures=trace.failed)
             counts.append(n_eval)
             if np.isfinite(ll_a):
                 ll = ll_a

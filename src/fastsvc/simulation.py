@@ -213,6 +213,13 @@ class ExperimentSpec:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {', '.join(METHODS)}")
+        for n in self.n_values:  # rejects what the campaign would fail on
+            self.config(n, self.seed)
+
+    def config(self, n: int, seed: int) -> SimConfig:
+        """Generator settings of one replication at sample size ``n``."""
+        return SimConfig(n=int(n), k=self.k, seed=seed, generator=self.generator,
+                         knot_count=min(self.gen_knot_count, int(n)))
 
 
 def _group_columns(instance: SimInstance):
@@ -256,10 +263,7 @@ def run_experiment(spec: ExperimentSpec):
     rows = []
     for n in spec.n_values:
         for rep in range(spec.reps):
-            config = SimConfig(n=int(n), k=spec.k, seed=spec.seed + rep,
-                               generator=spec.generator,
-                               knot_count=min(spec.gen_knot_count, int(n)))
-            instance = generate(config)
+            instance = generate(spec.config(n, spec.seed + rep))
             for method in spec.methods:
                 base = {"method": method, "N": int(n), "K": spec.k, "rep": rep}
                 try:

@@ -14,6 +14,7 @@ from fastsvc.eigenbasis import exact_basis
 from fastsvc.errors import FastSvcError
 from fastsvc.geometry import mst_max_edge
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik, v_diag
+from fastsvc.sequential import ALPHA_BOUNDS, RESTARTS, RHO_BOUNDS, fast_loglik
 
 
 # -- geometry ----------------------------------------------------------------
@@ -215,6 +216,18 @@ def bordered_q(moments, params, target):
     return Q, d
 
 
+def fd_gradient(moments, params, target, rho, alpha, h=1e-5):
+    """Central differences of the compressed restricted loglik in
+    (log rho, alpha) of coefficient ``target``, the others held at ``params``."""
+    def loglik(log_rho, a):
+        trial = params.with_entry(target, float(np.exp(log_rho)), a)
+        return compressed_restricted_loglik(moments, trial).loglik
+
+    x = np.log(rho)
+    return np.array([(loglik(x + h, alpha) - loglik(x - h, alpha)) / (2 * h),
+                     (loglik(x, alpha + h) - loglik(x, alpha - h)) / (2 * h)])
+
+
 def naive_gwr_site(X, y, w):
     """Plain weighted least squares with an explicit diagonal weight matrix."""
     G = np.diag(w)
@@ -251,6 +264,41 @@ def joint_optimize(moments, init, rho_bounds=(1e-6, 1e6), alpha_bounds=(0.0, 4.0
         if best is None or res.fun < best.fun:
             best = res
     return unpack(best.x), -best.fun
+
+
+def simplex_optimize_k(cache, params, target, budget=120):
+    """The derivative-free coordinate search the gradient search replaced:
+    three bounded Nelder-Mead starts from ``RESTARTS`` in (log rho, alpha),
+    each capped at a third of the budget, never returning a point worse
+    than the incoming one. Returns ``(rho, alpha, loglik, n_eval)``."""
+    lo, hi = np.log(RHO_BOUNDS[0]), np.log(RHO_BOUNDS[1])
+    n_eval = 0
+
+    def objective(x):
+        nonlocal n_eval
+        n_eval += 1
+        try:
+            return -fast_loglik(cache, float(np.exp(x[0])), float(x[1])).loglik
+        except FastSvcError:
+            return np.inf
+
+    rho_in, alpha_in = float(params.rho[target]), float(params.alpha[target])
+    try:
+        best_ll = fast_loglik(cache, rho_in, alpha_in).loglik
+    except FastSvcError:
+        best_ll = -np.inf
+    n_eval += 1
+    best = (rho_in, alpha_in)
+    per_start = max(10, (budget - 1) // len(RESTARTS))
+    for rho0, alpha0 in RESTARTS:
+        x0 = np.array([np.clip(np.log(rho0), lo, hi), np.clip(alpha0, *ALPHA_BOUNDS)])
+        res = minimize(objective, x0, method="Nelder-Mead",
+                       bounds=[(lo, hi), ALPHA_BOUNDS],
+                       options={"maxfev": per_start, "xatol": 1e-4, "fatol": 1e-7})
+        if np.isfinite(res.fun) and -res.fun > best_ll:
+            best_ll = -res.fun
+            best = (float(np.exp(res.x[0])), float(res.x[1]))
+    return best[0], best[1], best_ll, n_eval
 
 
 # -- instance builders -------------------------------------------------------

@@ -76,6 +76,7 @@ class TestFit:
         summary = json.loads((tmp_path / "fitted.summary.json").read_text())
         assert summary["loglik"] == pytest.approx(res.loglik)
         assert summary["sigma2"] == pytest.approx(res.sigma2_hat)
+        assert summary["failed_evaluations"] == res.trace.failed
 
     def test_svc_default_all_varying(self, sim_prefix, tmp_path):
         out = tmp_path / "fit2"
@@ -158,9 +159,10 @@ class TestInvalidOptions:
         ("fit", ["--max-eigenpairs", "0"], "got 0"),
         ("gwr", ["--bmin", "5", "--bmax", "1"], "got 5.0 and 1.0"),
         ("gwr", ["--bandwidth", "-1"], "got -1.0"),
+        ("gwr", ["--bmin", "1e9"], "got 1000000000.0 and"),
         ("simulate", ["--k", "0"], "k=0"),
     ], ids=["fit-knots", "fit-max-eigenpairs", "gwr-bmin-above-bmax", "gwr-bandwidth",
-            "simulate-k"])
+            "gwr-bmin-above-data-default", "simulate-k"])
     def test_exit_2_naming_the_value(self, tmp_path, capsys, command, flags, named):
         out = str(tmp_path / "out")
         if command == "simulate":
@@ -241,6 +243,13 @@ class TestBenchmark:
                    "--reps", "1", "--out", str(out)])
         assert rc == 2
         assert "'foo'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_size_below_k_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        rc = main(["benchmark", "--n", "1", "--k", "2", "--reps", "1", "--out", str(out)])
+        assert rc == 2
+        assert "n=1, k=2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_methods(self, tmp_path):

@@ -4,13 +4,20 @@ import time
 import numpy as np
 import pytest
 
-from fastsvc.errors import InsufficientData
+from fastsvc.errors import InsufficientData, SingularInnerMatrix
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
 from fastsvc.model import FitOptions, fit
 from fastsvc.sequential import build_cache, fast_loglik, fit_sequential, optimize_k
 from fastsvc.simulation import SimConfig, gen_large
 
-from oracles import bordered_q, dense_penalized_system, random_instance, random_params
+from oracles import (
+    bordered_q,
+    dense_penalized_system,
+    fd_gradient,
+    random_instance,
+    random_params,
+    simplex_optimize_k,
+)
 
 
 def _instance(seed, n=60, k=3, L=8):
@@ -157,6 +164,32 @@ class TestFastLoglik:
         assert times[6] <= 2.0 * times[2] + 1e-4
 
 
+class TestGradient:
+    # interior points, alpha at both box edges, and rho near its lower bound,
+    # where the gradient in log rho vanishes like rho^2
+    POINTS = ((0.7, 1.3), (3.0, 0.0), (0.05, 4.0), (1e-2, 2.0), (1e-6, 0.0), (2e-6, 4.0))
+
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    def test_matches_finite_differences(self, seed):
+        moments, params = _instance(seed)
+        for t in range(moments.k_varying):
+            cache = build_cache(moments, params, t)
+            for rho, alpha in self.POINTS:
+                got = fast_loglik(cache, rho, alpha).grad
+                np.testing.assert_allclose(
+                    got, fd_gradient(moments, params, t, rho, alpha), rtol=1e-6, atol=1e-7,
+                    err_msg=f"target {t} at rho={rho}, alpha={alpha}")
+
+    def test_skipping_it_leaves_the_rest_unchanged(self):
+        moments, params = _instance(23)
+        cache = build_cache(moments, params, 1)
+        full = fast_loglik(cache, 0.4, 2.5)
+        bare = fast_loglik(cache, 0.4, 2.5, gradient=False)
+        assert bare.grad is None and full.grad.shape == (2,)
+        assert bare.loglik == full.loglik
+        np.testing.assert_array_equal(bare.u_hat, full.u_hat)
+
+
 class TestOptimizeK:
     def test_never_worse_than_incoming_optimum(self):
         moments, _ = _instance(10, k=2)
@@ -169,6 +202,42 @@ class TestOptimizeK:
         cache = build_cache(moments, params, 0)
         _, _, ll2, _ = optimize_k(cache, params, 0)
         assert ll2 >= ll - 1e-6
+
+    @pytest.mark.parametrize("sweep", [0, 1])
+    def test_never_below_simplex_reference(self, sweep):
+        for seed in range(30, 36):
+            moments, params = _instance(seed, k=3)
+            for t in range(moments.k_varying):
+                cache = build_cache(moments, params, t)
+                _, _, ll, n_eval = optimize_k(cache, params, t, sweep=sweep)
+                _, _, ref, _ = simplex_optimize_k(cache, params, t)
+                assert ll >= ref - 1e-6, f"seed {seed}, target {t}"
+                assert n_eval <= 120
+
+    def test_failed_evaluations_counted_and_survived(self, monkeypatch):
+        import fastsvc.sequential as sequential
+
+        moments, params = _instance(16, k=2)
+        params = params.with_entry(0, 0.25, 1.0)
+        cache = build_cache(moments, params, 0)
+        incoming = fast_loglik(cache, 0.25, 1.0).loglik
+        raised = []
+
+        def flaky(cache, rho, alpha, *gradient):
+            if rho > 0.3:
+                raised.append(rho)
+                raise SingularInnerMatrix("injected")
+            return fast_loglik(cache, rho, alpha, *gradient)
+
+        monkeypatch.setattr(sequential, "fast_loglik", flaky)
+        failures = {}
+        rho, _, ll, _ = optimize_k(cache, params, 0, failures=failures)
+        assert raised and failures == {"SingularInnerMatrix": len(raised)}
+        assert rho <= 0.3 and ll >= incoming
+
+        raised.clear()
+        _, _, trace = fit_sequential(moments, params, max_sweeps=2)
+        assert raised and trace.failed == {"SingularInnerMatrix": len(raised)}
 
     def test_budget_validated(self):
         moments, params = _instance(11, k=2)

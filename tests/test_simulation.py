@@ -161,6 +161,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="'foo'"):
             ExperimentSpec(methods=("msvc", "foo"))
 
+    @pytest.mark.parametrize("n_values,k", [((100, 2), 2), ((100,), 0)])
+    def test_sample_sizes_checked_at_construction(self, n_values, k):
+        with pytest.raises(ValueError, match=f"n={min(n_values)}, k={k}"):
+            ExperimentSpec(n_values=n_values, k=k)
+
     def test_row_count_arithmetic(self, tmp_path):
         spec = ExperimentSpec(methods=("msvc",), n_values=(150, 200), k=2, reps=2,
                               seed=0, generator="large", gen_knot_count=150,
