@@ -7,8 +7,8 @@ eigenpair, not per observation.
 
 The basis stage is not yet linear. Its kernel range (a Delaunay-graph MST)
 is O(N log N), but k-means knot placement is superlinear: with 200 knots on
-the data below it reaches a fixed point after 32 Lloyd passes (0.3 s on a
-2-core machine) at N = 10,000, and runs into its 100-pass cap (about 4.5 s)
+the data below it reaches a fixed point after 32 Lloyd passes (0.15 s on a
+2-core machine) at N = 10,000, and runs into its 100-pass cap (about 1.6 s)
 at N = 50,000.
 """
 

@@ -156,7 +156,7 @@ def cmd_fit(args) -> int:
     total = time.perf_counter() - t0
     _write_surfaces(f"{args.out}.beta.csv", dataset.coords, names, result.beta_surfaces)
     varying = [names[j] for j in np.flatnonzero(dataset.svc_flags)]
-    _write_json(f"{args.out}.summary.json", {
+    summary = {
         "n": dataset.n_obs,
         "k": dataset.n_cov,
         "basis_kind": result.basis.kind,
@@ -172,7 +172,12 @@ def cmd_fit(args) -> int:
         "converged": result.trace.converged,
         "failed_evaluations": result.trace.failed,
         "timings_s": {**result.timings, "total": total},
-    })
+    }
+    knots = result.basis.knots
+    if knots is not None:
+        summary["knots"] = {"count": knots.count, "passes": knots.passes,
+                            "converged": knots.converged}
+    _write_json(f"{args.out}.summary.json", summary)
     print(f"fit: N={dataset.n_obs} K={dataset.n_cov} loglik={result.loglik:.6f} "
           f"sigma2={result.sigma2_hat:.6g} -> {args.out}.beta.csv, {args.out}.summary.json")
     return 0

@@ -6,6 +6,7 @@ tolerated everywhere; they simply produce kernel weight 1 off-diagonal.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from .errors import (AllPointsCoincident, DegenerateTriangulation, InvalidKnotCo
                      NonPositiveRange)
 
 _KMEANS_MAX_ITER = 100
+
+_log = logging.getLogger("fastsvc")
 
 
 def as_coords(points) -> np.ndarray:
@@ -114,29 +117,38 @@ def mst_max_edge(coords) -> float:
 
 @dataclass(frozen=True)
 class KnotSet:
-    """K-means cluster centers, the knots of a Nystrom basis."""
+    """K-means cluster centers, the knots of a Nystrom basis.
+
+    ``passes`` counts the Lloyd passes that placed them, and ``converged``
+    is False when those passes stopped at the cap instead of at a fixed
+    point. Knots built by hand keep the defaults.
+    """
 
     centers: np.ndarray     # (L, 2)
+    passes: int = 0
+    converged: bool = True
 
     @property
     def count(self) -> int:
         return self.centers.shape[0]
 
 
-def _chunked_argmin_dist(pts: np.ndarray, centers: np.ndarray,
-                         chunk: int = 16384) -> np.ndarray:
-    out = np.empty(pts.shape[0], dtype=np.int64)
-    for lo in range(0, pts.shape[0], chunk):
-        hi = min(lo + chunk, pts.shape[0])
-        out[lo:hi] = np.argmin(cdist(pts[lo:hi], centers), axis=1)
-    return out
-
-
 def _plusplus_seed(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = pts.shape[0]
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    dx, dy, d2_new = np.empty(n), np.empty(n), np.empty(n)
+
+    def sq_dist_to(c, out):
+        # dx*dx + dy*dy, the same sum as np.sum((pts - c)**2, axis=1)
+        np.subtract(x, c[0], out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.subtract(y, c[1], out=dy)
+        np.multiply(dy, dy, out=dy)
+        return np.add(dx, dy, out=out)
+
     centers = np.empty((k, 2))
     centers[0] = pts[rng.integers(n)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    d2 = sq_dist_to(centers[0], np.empty(n))
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -146,15 +158,66 @@ def _plusplus_seed(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
             # all remaining mass at chosen points (duplicates): fall back to uniform
             idx = rng.integers(n)
         centers[i] = pts[idx]
-        np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1), out=d2)
+        np.minimum(d2, sq_dist_to(centers[i], d2_new), out=d2)
     return centers
+
+
+def _nearest_two(pts: np.ndarray, centers: np.ndarray, chunk: int = 4096):
+    """Nearest center of each point (the ``argmin`` of its ``cdist`` row, so
+    ties go to the lowest index), its distance, and the distance to the
+    second-nearest center (inf with one center)."""
+    n = pts.shape[0]
+    nearest, first, second = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    for lo in range(0, n, chunk):
+        d = cdist(pts[lo:lo + chunk], centers)
+        r = np.arange(d.shape[0])
+        idx = np.argmin(d, axis=1)
+        nearest[lo:lo + chunk] = idx
+        first[lo:lo + chunk] = d[r, idx]
+        d[r, idx] = np.inf
+        second[lo:lo + chunk] = d.min(axis=1)
+    return nearest, first, second
+
+
+def _reseed_empty(pts: np.ndarray, centers: np.ndarray, assignment: np.ndarray,
+                  empty: np.ndarray) -> None:
+    """Move each empty cluster's center to the point farthest from its own
+    center, and that point into the cluster (in place)."""
+    d_own = np.sum((pts - centers[assignment]) ** 2, axis=1)
+    for c in empty:
+        far = int(np.argmax(d_own))
+        centers[c] = pts[far]
+        assignment[far] = c
+        d_own[far] = 0.0
 
 
 def kmeans_knots(coords, n_knots: int, seed: int = 0) -> KnotSet:
     """Deterministic Lloyd k-means with ++ seeding, used to place basis knots.
 
-    Iterates to an assignment fixed point or 100 iterations. Empty clusters
-    are re-seeded from the point farthest from its current center.
+    Iterates to an assignment fixed point or ``_KMEANS_MAX_ITER`` passes;
+    hitting the cap logs a warning and leaves ``converged`` False. Empty
+    clusters are re-seeded from the point farthest from its current center.
+
+    Each pass gives every point the ``argmin`` of its ``cdist`` row, but
+    only recomputes the rows that can change (Hamerly, SDM 2010). Each point
+    keeps an upper bound ``u`` on the distance to its own center and a
+    lower bound ``l`` on the distance to every other center, both exact
+    after its last recompute. When the centers move, ``u`` grows by its own
+    center's drift and ``l`` shrinks by the largest drift (triangle
+    inequality). A point is recomputed when ``u >= l (1 - margin) -
+    margin s``, where ``s`` sums the largest drifts since every bound was
+    last exact. Otherwise its own center is strictly nearer than any other,
+    so ``argmin`` would return it again; exact ties are always recomputed,
+    and ``argmin`` breaks them as a full pass would. ``margin`` covers the
+    rounding of ``cdist``, the drifts and the bound updates: with unit
+    roundoff ``u0 = eps / 2`` each distance carries a relative error of at
+    most ``3 u0``, and over ``P`` passes the bounds drift from the computed
+    distances by at most ``(P + 9) u0`` relative to ``u`` and
+    ``(P + 7) u0`` relative to ``l + s``, so ``(2 P + 16) u0`` suffices to
+    first order; ``margin`` doubles it. A pass that re-seeds an empty
+    cluster makes every bound inexact, so the next pass recomputes every
+    row. The centers, the pass count and the cap flag therefore equal those
+    of plain Lloyd recomputing every row on every pass.
     """
     pts = as_coords(coords)
     n = pts.shape[0]
@@ -162,27 +225,45 @@ def kmeans_knots(coords, n_knots: int, seed: int = 0) -> KnotSet:
         raise InvalidKnotCount(f"n_knots={n_knots} outside [1, {n}]")
     rng = np.random.default_rng(seed)
     centers = _plusplus_seed(pts, n_knots, rng)
+    cap = _KMEANS_MAX_ITER
+    margin = 2 * (cap + 8) * np.finfo(np.float64).eps
 
     assignment = np.full(n, -1, dtype=np.int64)
-    for _ in range(_KMEANS_MAX_ITER):
-        new_assignment = _chunked_argmin_dist(pts, centers)
+    upper, lower = np.full(n, np.inf), np.zeros(n)
+    slack = 0.0
+    converged = False
+    for passes in range(1, cap + 1):
+        new_assignment = assignment.copy()
+        # a NaN bound (a center left empty by the re-seed) proves nothing
+        stale = np.flatnonzero(~(upper < lower * (1.0 - margin) - margin * slack))
+        new_assignment[stale], upper[stale], lower[stale] = _nearest_two(pts[stale], centers)
         counts = np.bincount(new_assignment, minlength=n_knots)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            d_own = np.sum((pts - centers[new_assignment]) ** 2, axis=1)
-            for c in empty:
-                far = int(np.argmax(d_own))
-                centers[c] = pts[far]
-                new_assignment[far] = c
-                d_own[far] = 0.0
+            _reseed_empty(pts, centers, new_assignment, empty)
             counts = np.bincount(new_assignment, minlength=n_knots)
-        sums = np.zeros((n_knots, 2))
-        np.add.at(sums, new_assignment, pts)
-        centers = sums / counts[:, None]
+        sums = np.column_stack([np.bincount(new_assignment, weights=pts[:, j],
+                                            minlength=n_knots) for j in (0, 1)])
+        new_centers = sums / counts[:, None]
         if np.array_equal(new_assignment, assignment):
+            centers = new_centers
+            converged = True
             break
+        if empty.size:
+            upper.fill(np.inf)
+        else:
+            drift = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))
+            largest = drift.max()
+            upper += drift[new_assignment]
+            lower -= largest
+            # s restarts at a pass that recomputed every row
+            slack = largest if stale.size == n else slack + largest
+        centers = new_centers
         assignment = new_assignment
-    return KnotSet(centers=centers)
+    if not converged:
+        _log.warning("k-means knot placement stopped at its %d-pass cap before "
+                     "converging (N=%d, %d knots)", cap, n, n_knots)
+    return KnotSet(centers=centers, passes=passes, converged=converged)
 
 
 def proximity(a, b, range_r: float, zero_diagonal: bool = False) -> np.ndarray:

@@ -8,6 +8,7 @@ import itertools
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.eigenbasis import exact_basis
@@ -82,6 +83,46 @@ def prim_max_edge(points):
         np.minimum(best, d2, out=best)
         best[in_tree] = np.inf
     return float(np.sqrt(max_edge_sq))
+
+
+def lloyd_kmeans(points, n_knots, seed, max_iter=100):
+    """Plain Lloyd k-means with ++ seeding: every pass takes the ``argmin``
+    of the full ``cdist`` matrix, so ties go to the lowest index. Empty
+    clusters are re-seeded from the point farthest from its current center.
+    Returns the centers and the number of passes run (``max_iter`` when the
+    cap stopped it)."""
+    pts = np.asarray(points, float)
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((n_knots, 2))
+    centers[0] = pts[rng.integers(n)]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for i in range(1, n_knots):
+        total = d2.sum()
+        idx = rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)
+        centers[i] = pts[idx]
+        np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1), out=d2)
+
+    assignment = np.full(n, -1)
+    for passes in range(1, max_iter + 1):
+        new_assignment = np.argmin(cdist(pts, centers), axis=1)
+        counts = np.bincount(new_assignment, minlength=n_knots)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            d_own = np.sum((pts - centers[new_assignment]) ** 2, axis=1)
+            for c in empty:
+                far = int(np.argmax(d_own))
+                centers[c] = pts[far]
+                new_assignment[far] = c
+                d_own[far] = 0.0
+            counts = np.bincount(new_assignment, minlength=n_knots)
+        sums = np.zeros((n_knots, 2))
+        np.add.at(sums, new_assignment, pts)
+        centers = sums / counts[:, None]
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    return centers, passes
 
 
 # -- eigenbasis --------------------------------------------------------------

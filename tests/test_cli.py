@@ -86,6 +86,22 @@ class TestFit:
         assert rc == 0
         summary = json.loads((tmp_path / "fit2.summary.json").read_text())
         assert set(summary["rho"]) == {"intercept", "x1"}
+        assert "knots" not in summary
+
+    def test_nystrom_summary_reports_knots(self, sim_prefix, tmp_path):
+        out = tmp_path / "nys"
+        rc = main(["fit", "--input", str(sim_prefix) + ".data.csv", "--y", "y",
+                   "--x", "x1", "--coords", "px,py", "--basis", "nystrom",
+                   "--knots", "40", "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        from fastsvc.geometry import kmeans_knots
+
+        dh, dd = _read_table(str(sim_prefix) + ".data.csv")
+        knots = kmeans_knots(dd[:, [dh.index("px"), dh.index("py")]], 40, seed=0)
+        summary = json.loads((tmp_path / "nys.summary.json").read_text())
+        assert summary["knots"] == {"count": 40, "passes": knots.passes,
+                                    "converged": True}
+        assert knots.passes > 1
 
     def test_svc_subset(self, sim_prefix, tmp_path):
         # empty --svc keeps only the (always varying) intercept surface

@@ -1,10 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
+from fastsvc import geometry
 from fastsvc.errors import AllPointsCoincident, InvalidKnotCount, NonPositiveRange
 from fastsvc.geometry import kmeans_knots, mst_max_edge, proximity
 
-from oracles import minimax_spanning_edge, naive_pairwise, prim_max_edge
+from oracles import lloyd_kmeans, minimax_spanning_edge, naive_pairwise, prim_max_edge
 
 
 def _prim_cases():
@@ -32,6 +35,43 @@ def _prim_cases():
 
 
 PRIM_CASES = _prim_cases()
+
+
+def _lloyd_cases():
+    rng = np.random.default_rng(21)
+    grid = np.arange(40.0)
+    return {
+        # integer sites: many exactly tied distances
+        "grid_40x40": (np.array([(a, b) for a in grid for b in grid]), 60),
+        "each_site_3x": (np.repeat(rng.standard_normal((300, 2)), 3, axis=0), 50),
+        "spread_1e-3_offset_1e6": (1e6 + 1e-3 * rng.standard_normal((3000, 2)), 40),
+        "offset_3e7": (3e7 + rng.standard_normal((3000, 2)), 40),
+        "collinear_500": (np.column_stack([rng.uniform(0.0, 100.0, 500),
+                                           np.full(500, 3.0)]), 30),
+        # integer positions on one line: the triangle inequality is tight, so
+        # drifted bounds meet exactly at tied distances
+        "collinear_integers_40": (np.column_stack(
+            [np.random.default_rng(89).integers(0, 64, 40).astype(float),
+             np.full(40, 3.0)]), 8),
+        "one_knot": (rng.standard_normal((500, 2)), 1),
+        "knot_per_site": (rng.standard_normal((200, 2)), 200),
+    }
+
+
+LLOYD_CASES = _lloyd_cases()
+
+
+def _outlier_groups(data_seed):
+    """A unit blob of 60 sites and a few small groups scattered around it."""
+    rng = np.random.default_rng(data_seed)
+    blob = rng.standard_normal((60, 2))
+    groups = [rng.uniform(-30.0, 30.0, 2) + 0.5 * rng.standard_normal((rng.integers(2, 6), 2))
+              for _ in range(rng.integers(2, 6))]
+    return np.vstack([blob] + groups)
+
+
+#: (data seed, knots, k-means seed) of runs in which Lloyd empties a cluster
+OUTLIER_RUNS = [(3754, 25, 2), (9901, 22, 0)]
 
 
 class TestPairwiseDistances:
@@ -142,6 +182,56 @@ class TestKmeansKnots:
             kmeans_knots(pts, 0, seed=0)
         with pytest.raises(InvalidKnotCount):
             kmeans_knots(pts, 5, seed=0)
+
+    @pytest.mark.parametrize("name", sorted(LLOYD_CASES))
+    def test_equals_lloyd_oracle(self, name):
+        pts, n_knots = LLOYD_CASES[name]
+        for seed in range(3):
+            knots = kmeans_knots(pts, n_knots, seed=seed)
+            centers, passes = lloyd_kmeans(pts, n_knots, seed)
+            assert np.array_equal(knots.centers, centers)
+            assert (knots.passes, knots.converged) == (passes, True)
+
+    def test_equals_lloyd_oracle_through_reseed(self, monkeypatch):
+        reseeds = []
+        reseed = geometry._reseed_empty
+
+        def counted(pts, centers, assignment, empty):
+            reseeds.append(empty.size)
+            reseed(pts, centers, assignment, empty)
+
+        monkeypatch.setattr(geometry, "_reseed_empty", counted)
+        for data_seed, n_knots, seed in OUTLIER_RUNS:
+            pts = _outlier_groups(data_seed)
+            before = len(reseeds)
+            knots = kmeans_knots(pts, n_knots, seed=seed)
+            assert len(reseeds) > before
+            centers, passes = lloyd_kmeans(pts, n_knots, seed)
+            assert np.array_equal(knots.centers, centers)
+            assert knots.passes == passes
+
+    def test_cap_reported(self, monkeypatch, caplog):
+        pts, n_knots = LLOYD_CASES["spread_1e-3_offset_1e6"]
+        monkeypatch.setattr(geometry, "_KMEANS_MAX_ITER", 2)
+        with caplog.at_level(logging.WARNING, logger="fastsvc"):
+            knots = kmeans_knots(pts, n_knots, seed=0)
+        assert (knots.passes, knots.converged) == (2, False)
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "2-pass cap" in message and "N=3000" in message and "40 knots" in message
+        centers, passes = lloyd_kmeans(pts, n_knots, 0, max_iter=2)
+        assert passes == 2
+        assert np.array_equal(knots.centers, centers)
+
+    def test_converged_fit_logs_nothing(self, caplog):
+        pts, n_knots = LLOYD_CASES["grid_40x40"]
+        with caplog.at_level(logging.WARNING, logger="fastsvc"):
+            knots = kmeans_knots(pts, n_knots, seed=0)
+        assert knots.converged and not caplog.records
+
+    def test_hand_built_knots(self):
+        knots = geometry.KnotSet(centers=np.zeros((3, 2)))
+        assert (knots.count, knots.passes, knots.converged) == (3, 0, True)
 
 
 class TestProximity:
