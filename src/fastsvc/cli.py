@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .eigenbasis import DEFAULT_MAX_PAIRS
+from .eigenbasis import DEFAULT_MAX_PAIRS, NYSTROM_CHUNK
 from .errors import FastSvcError
 from .gwr import GwrGrid, gwr_fit
 from .model import FitOptions, SpatialDataset, build_basis, fit
@@ -232,12 +232,17 @@ def cmd_eigen(args) -> int:
                        seed=args.seed, max_eigenpairs=args.max_eigenpairs,
                        range_r=args.range)
     basis = build_basis(coords, options)
+    n = coords.shape[0]
     with open(f"{args.out}.vectors.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["px", "py"] + [f"e{l + 1}" for l in range(basis.n_pairs)])
-        for i in range(coords.shape[0]):
-            writer.writerow([_fmt(coords[i, 0]), _fmt(coords[i, 1])]
-                            + [_fmt(v) for v in basis.vectors[i]])
+        # blocks of the Nystrom evaluation's own size write the bits of
+        # basis.vectors without holding all N rows
+        for lo in range(0, n, NYSTROM_CHUNK):
+            rows = basis.rows(lo, min(lo + NYSTROM_CHUNK, n))
+            for i, row in enumerate(rows, start=lo):
+                writer.writerow([_fmt(coords[i, 0]), _fmt(coords[i, 1])]
+                                + [_fmt(v) for v in row])
     with open(f"{args.out}.values.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda"])

@@ -6,16 +6,20 @@ likelihood needs is contained in
 
     gram = W'W,   gy = W'y,   yty = y'y.
 
-These are accumulated in row chunks, so no N-by-anything temporary beyond a
-chunk is ever materialized and the result size depends only on K and L.
+These are accumulated in row chunks of one preallocated buffer, and the
+basis rows can be streamed from an ``EigenBasis``, so no N-by-anything
+temporary beyond a chunk is ever materialized and the result size depends
+only on K and L.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
+from .eigenbasis import ROW_CHUNK, EigenBasis
 from .errors import DimensionMismatch, NonFiniteInput
 
 
@@ -36,18 +40,24 @@ class SvcDesign:
 
     ``X[:, 0]`` must be the constant 1 and the first covariate always varies:
     its varying part doubles as the residual spatial-dependence term.
+
+    ``vectors`` is an (N, L) array, checked for non-finite entries here, or
+    an ``EigenBasis`` whose rows ``compress`` pulls and checks chunk by
+    chunk, so a Nystrom basis is never materialized.
     """
 
     X: np.ndarray          # (N, K), first column all ones
     y: np.ndarray          # (N,)
-    vectors: np.ndarray    # (N, L) basis eigenvectors
+    vectors: np.ndarray | EigenBasis  # (N, L) basis eigenvectors, or their source
     values: np.ndarray     # (L,) basis eigenvalues, > 0
     svc_flags: np.ndarray  # (K,) bool, True = coefficient varies spatially
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64).ravel()
-        E = np.asarray(self.vectors, dtype=np.float64)
+        E = self.vectors
+        if not isinstance(E, EigenBasis):
+            E = np.asarray(E, dtype=np.float64)
         lam = np.asarray(self.values, dtype=np.float64).ravel()
         flags = np.asarray(self.svc_flags, dtype=bool).ravel()
         object.__setattr__(self, "X", X)
@@ -66,7 +76,7 @@ class SvcDesign:
         if flags.shape[0] != X.shape[1]:
             raise DimensionMismatch("need one svc flag per covariate")
         _check_regression(X, y, flags)
-        if not np.isfinite(E).all():
+        if isinstance(E, np.ndarray) and not np.isfinite(E).all():
             raise NonFiniteInput("basis contains NaN or infinity")
 
     @property
@@ -84,6 +94,11 @@ class SvcDesign:
     @property
     def varying(self) -> np.ndarray:
         return np.flatnonzero(self.svc_flags)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Basis rows ``lo:hi``, sliced from the array or pulled from the basis."""
+        E = self.vectors
+        return E.rows(lo, hi) if isinstance(E, EigenBasis) else E[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -118,38 +133,44 @@ class CompressedMoments:
         return slice(lo, lo + self.n_basis)
 
 
-def compress(design: SvcDesign, chunk: int | None = None) -> CompressedMoments:
+def compress(design: SvcDesign, chunk: int = ROW_CHUNK) -> CompressedMoments:
     """Accumulate the Gram blocks of the stacked design in one pass.
 
-    Chunked accumulation in fixed row order: results are exact inner products
-    and independent of the chunk size (up to float addition order within a
-    chunk, which is fixed by the BLAS call).
+    Each chunk of ``chunk`` rows of ``[W, y]`` is written into one
+    preallocated buffer, and ``dsyrk`` adds its Gram, which holds ``W'W``,
+    ``W'y`` and ``y'y``, into one upper triangle in place; the triangle is
+    mirrored once at the end, so the Gram is exactly symmetric. No other
+    BLAS call runs between the ``dsyrk`` calls: a threaded ``W'y`` product
+    there slowed them by half on a 2-core machine. Basis rows are pulled one
+    chunk at a time and must be finite. Results are exact inner products up
+    to float addition order, which the chunk size and the BLAS calls fix.
     """
-    X, y, E = design.X, design.y, design.vectors
+    X, y = design.X, design.y
     n, k = X.shape
-    L = E.shape[1]
+    L = design.n_basis
     varying = design.varying
     m = k + varying.size * L
-    if chunk is None:
-        chunk = max(256, int(4_000_000 / max(m, 1)))
 
-    gram = np.zeros((m, m))
-    gy = np.zeros(m)
-    yty = 0.0
+    buffer = np.empty((min(chunk, n), m + 1))
+    gram = np.zeros((m + 1, m + 1), order="F")
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        blocks = [X[lo:hi]]
-        blocks += [X[lo:hi, j: j + 1] * E[lo:hi] for j in varying]
-        W = np.concatenate(blocks, axis=1)
-        gram += W.T @ W
-        gy += W.T @ y[lo:hi]
-        yty += float(y[lo:hi] @ y[lo:hi])
-    # enforce exact symmetry lost to float addition order
-    gram = 0.5 * (gram + gram.T)
+        E = design.rows(lo, hi)
+        if not np.isfinite(E).all():
+            raise NonFiniteInput(f"basis rows {lo}:{hi} contain NaN or infinity")
+        W = buffer[:hi - lo]
+        W[:, :k] = X[lo:hi]
+        for a, j in enumerate(varying):
+            np.multiply(X[lo:hi, j: j + 1], E, out=W[:, k + a * L: k + (a + 1) * L])
+        W[:, m] = y[lo:hi]
+        # W.T is Fortran-ordered and gram is too, so dsyrk copies neither
+        gram = blas.dsyrk(1.0, W.T, beta=1.0, c=gram, overwrite_c=True)
+    for j in range(1, m + 1):
+        gram[j, :j] = gram[:j, j]
     return CompressedMoments(
-        gram=gram,
-        gy=gy,
-        yty=yty,
+        gram=gram[:m, :m],
+        gy=gram[:m, m].copy(),
+        yty=float(gram[m, m]),
         n_obs=n,
         n_cov=k,
         n_basis=L,

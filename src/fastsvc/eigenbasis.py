@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import (
     ConstantVector,
@@ -43,31 +44,48 @@ EXACT_SIZE_GUARD = 5000
 #: dense knot decomposition refused above this knot count
 KNOT_SIZE_GUARD = 2000
 
+#: rows per chunk where a fit streams a basis (compression, reconstruction),
+#: so each chunk's arrays hold ROW_CHUNK x (columns) values
+ROW_CHUNK = 1024
+
+#: rows per block of one Nystrom evaluation; rows pulled in blocks of this
+#: size, aligned to it, repeat ``vectors`` bit for bit
+NYSTROM_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class EigenBasis:
     """Retained spatial eigenpairs, exact or Nystrom-approximated.
 
+    A basis is a source of eigenvector rows: ``rows(lo, hi)`` gives rows
+    ``lo:hi`` and ``vectors`` all N of them. An exact basis stores its
+    (N, L) array. A Nystrom basis stores only its sites and knot ingredients
+    and evaluates rows on demand, so the stages that stream it (compression,
+    surface reconstruction, the CLI export) never hold all N x L at once.
+
     Attributes
     ----------
-    vectors : (N, L) array
-        Eigenvector columns (approximated for ``kind == "nystrom"``).
     values : (L,) array
-        Matching eigenvalues, strictly positive, descending.
+        Eigenvalues, strictly positive, descending.
     range_r : float
         Kernel range used to build the proximity matrix.
     kind : str
         ``"exact"`` or ``"nystrom"``.
+    stored : (N, L) array or None
+        The eigenvector columns of an exact basis.
+    sites : (N, 2) array or None
+        The sites a Nystrom basis evaluates its rows at.
     knots : KnotSet or None
         Present only for the Nystrom kind.
     knot_vectors, knot_values, row_correction
-        Nystrom ingredients kept so the basis can be evaluated at new sites.
+        Nystrom ingredients, also used to evaluate the basis at new sites.
     """
 
-    vectors: np.ndarray
     values: np.ndarray
     range_r: float
     kind: str
+    stored: np.ndarray | None = None
+    sites: np.ndarray | None = None
     knots: KnotSet | None = None
     knot_vectors: np.ndarray | None = None
     knot_values: np.ndarray | None = None
@@ -76,6 +94,30 @@ class EigenBasis:
     @property
     def n_pairs(self) -> int:
         return int(self.values.shape[0])
+
+    @property
+    def n_sites(self) -> int:
+        source = self.stored if self.stored is not None else self.sites
+        return int(source.shape[0])
+
+    @property
+    def shape(self) -> tuple:
+        """(N, L), the shape of ``vectors``."""
+        return (self.n_sites, self.n_pairs)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Eigenvector rows ``lo:hi``: a view of the stored array, or the
+        Nystrom formula evaluated at those sites."""
+        if self.stored is not None:
+            return self.stored[lo:hi]
+        return _nystrom_rows(self.sites[lo:hi], self.knots, self.range_r,
+                             self.knot_vectors, self.knot_values, self.row_correction)
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """All (N, L) eigenvector columns; a Nystrom basis evaluates every
+        row on each access."""
+        return self.rows(0, self.n_sites)
 
 
 def _double_center(C: np.ndarray) -> np.ndarray:
@@ -141,18 +183,27 @@ def exact_basis(coords, range_r: float,
     w, V = _centered_eigh(C)
     keep = _positive_descending(w, max_pairs)
     return EigenBasis(
-        vectors=_fix_signs(V[:, keep]),
         values=w[keep].copy(),
         range_r=float(range_r),
         kind="exact",
+        stored=_fix_signs(V[:, keep]),
     )
 
 
 def _nystrom_rows(coords, knots: KnotSet, range_r: float,
                   knot_vectors: np.ndarray, knot_values: np.ndarray,
-                  row_correction: np.ndarray, chunk: int = 8192) -> np.ndarray:
+                  row_correction: np.ndarray, chunk: int = NYSTROM_CHUNK) -> np.ndarray:
     """Evaluate the Nystrom eigenvector formula at arbitrary sites, chunked so
-    the site-to-knot kernel never exceeds chunk x L memory."""
+    the site-to-knot kernel never exceeds chunk x L memory.
+
+    The product runs through scipy's BLAS, the library of ``compress``'s
+    ``dsyrk``: numpy and scipy each load their own OpenBLAS, and a loop that
+    alternates between the two thread pools ran about twice as slow on a
+    2-core machine. Both operands are passed transposed, so Fortran-ordered
+    and uncopied; that is the column-major call numpy's ``C_nl @ scale``
+    makes, and with the OpenBLAS builds numpy and scipy ship its rows equal
+    numpy's bit for bit (the generated benchmark data did not change).
+    """
     pts = as_coords(coords)
     scale = knot_vectors / (knot_values + 1.0)[None, :]
     out = np.empty((pts.shape[0], knot_vectors.shape[1]))
@@ -160,7 +211,7 @@ def _nystrom_rows(coords, knots: KnotSet, range_r: float,
         hi = min(lo + chunk, pts.shape[0])
         C_nl = proximity(pts[lo:hi], knots.centers, range_r)
         C_nl -= row_correction[None, :]
-        out[lo:hi] = C_nl @ scale
+        out[lo:hi] = blas.dgemm(1.0, scale.T, C_nl.T).T
     return out
 
 
@@ -169,7 +220,9 @@ def nystrom_basis(coords, knots: KnotSet, range_r: float,
     """Nystrom-extended eigenpairs from a knot subset.
 
     Eigenvalues are rescaled knot eigenvalues; the retained count is the
-    number of positive rescaled eigenvalues, capped at ``max_pairs``.
+    number of positive rescaled eigenvalues, capped at ``max_pairs``. The
+    cost is that of the knot decomposition: the N rows are evaluated only
+    when the basis is read (see ``EigenBasis``).
     """
     if not range_r > 0.0:
         raise NonPositiveRange(f"kernel range must be > 0, got {range_r}")
@@ -190,12 +243,11 @@ def nystrom_basis(coords, knots: KnotSet, range_r: float,
     knot_values = w[keep].copy()
     # column means of the unit-diagonal knot kernel
     row_correction = (C_l.sum(axis=0) + 1.0) / n_knots
-    vectors = _nystrom_rows(pts, knots, range_r, knot_vectors, knot_values, row_correction)
     return EigenBasis(
-        vectors=vectors,
         values=lam_hat[keep].copy(),
         range_r=float(range_r),
         kind="nystrom",
+        sites=pts.copy(),
         knots=knots,
         knot_vectors=knot_vectors,
         knot_values=knot_values,

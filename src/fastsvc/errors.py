@@ -20,7 +20,7 @@ class DegenerateTriangulation(FastSvcError):
 
 
 class InvalidKnotCount(FastSvcError):
-    """Requested knot count outside [1, N]."""
+    """Requested knot count below 1, or above N or the number of distinct sites."""
 
 
 class NonPositiveRange(FastSvcError):

@@ -151,12 +151,12 @@ def _plusplus_seed(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     d2 = sq_dist_to(centers[0], np.empty(n))
     for i in range(1, k):
         total = d2.sum()
-        if total > 0.0:
-            probs = d2 / total
-            idx = rng.choice(n, p=probs)
-        else:
-            # all remaining mass at chosen points (duplicates): fall back to uniform
-            idx = rng.integers(n)
+        if not total > 0.0:
+            # a point is drawn only at a positive distance from every center
+            # so far, so the i centers are distinct and every site is one
+            raise InvalidKnotCount(f"n_knots={k} exceeds the {i} distinct sites")
+        probs = d2 / total
+        idx = rng.choice(n, p=probs)
         centers[i] = pts[idx]
         np.minimum(d2, sq_dist_to(centers[i], d2_new), out=d2)
     return centers
@@ -194,9 +194,12 @@ def _reseed_empty(pts: np.ndarray, centers: np.ndarray, assignment: np.ndarray,
 def kmeans_knots(coords, n_knots: int, seed: int = 0) -> KnotSet:
     """Deterministic Lloyd k-means with ++ seeding, used to place basis knots.
 
-    Iterates to an assignment fixed point or ``_KMEANS_MAX_ITER`` passes;
-    hitting the cap logs a warning and leaves ``converged`` False. Empty
-    clusters are re-seeded from the point farthest from its current center.
+    Raises ``InvalidKnotCount`` when ``n_knots`` exceeds N or the number of
+    distinct sites (the seeding finds that out; sites whose squared distance
+    underflows count as one). Iterates to an assignment fixed point or
+    ``_KMEANS_MAX_ITER`` passes; hitting the cap logs a warning and leaves
+    ``converged`` False. Empty clusters are re-seeded from the point
+    farthest from its current center.
 
     Each pass gives every point the ``argmin`` of its ``cdist`` row, but
     only recomputes the rows that can change (Hamerly, SDM 2010). Each point

@@ -112,13 +112,18 @@ def v_diag(rho: float, alpha: float, values: np.ndarray) -> np.ndarray:
 def spd_factor(P: np.ndarray, error: type = SingularP):
     """Cholesky of a symmetric PD matrix with a cheap condition estimate.
 
+    Factors ``P`` in place, so callers pass a matrix they own. LAPACK takes
+    Fortran order; a C-ordered ``P`` is factored through its transpose,
+    which for a symmetric matrix is the same matrix, so nothing is copied
+    and the 1-norm comes from ``dlange`` without an ``|P|`` temporary.
     Returns ``((factor, lower), logdet)``; raises ``error`` when the
     factorization fails or the reciprocal 1-norm condition estimate falls
     below ``RCOND_LIMIT``.
     """
-    anorm = np.linalg.norm(P, 1)
+    a = P if P.flags.f_contiguous else P.T
+    anorm = lapack.dlange(b"1", a)
     try:
-        c, low = sla.cho_factor(P, lower=True, check_finite=False)
+        c, low = sla.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise error(f"matrix not positive definite: {exc}") from exc
     rcond, info = lapack.dpocon(c, anorm, uplo=b"L")
@@ -178,10 +183,11 @@ def direct_restricted_loglik(design: SvcDesign, params: ShrinkageParams) -> Like
         raise ValueError("params length must match the number of varying coefficients")
     L = design.n_basis
 
+    E = design.rows(0, n)
     blocks = [design.X]
     for a, j in enumerate(varying):
         vk = v_diag(params.rho[a], params.alpha[a], design.values)
-        blocks.append(design.X[:, j: j + 1] * design.vectors * vk[None, :])
+        blocks.append(design.X[:, j: j + 1] * E * vk[None, :])
     W = np.concatenate(blocks, axis=1)
     m = W.shape[1]
 
@@ -209,12 +215,14 @@ def _penalized_solve(moments: CompressedMoments, s: np.ndarray,
                      penalized: np.ndarray, error: type):
     """Factor and solve the scaled, penalized Gram system.
 
-    Forms ``P = diag(s) gram diag(s)`` plus 1 on the ``penalized`` diagonals
-    and solves ``P z = s o W'y``. Returns ``(factor, ln|P|, z, d)`` with
-    ``d = y'y - z'(s o W'y)`` accumulated in extended precision and not yet
-    clamped; ``error`` is raised when ``P`` is singular.
+    Forms ``P = diag(s) gram diag(s)`` plus 1 on the ``penalized`` diagonals,
+    scaling one copy of the Gram in place, and solves ``P z = s o W'y``.
+    Returns ``(factor, ln|P|, z, d)`` with ``d = y'y - z'(s o W'y)``
+    accumulated in extended precision and not yet clamped; ``error`` is
+    raised when ``P`` is singular.
     """
-    P = moments.gram * np.outer(s, s)
+    P = moments.gram * s
+    P *= s[:, None]
     P[penalized, penalized] += 1.0
     rhs = s * moments.gy
     factor, logdet = spd_factor(P, error=error)

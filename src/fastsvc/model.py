@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import SvcDesign, _check_regression, compress
-from .eigenbasis import DEFAULT_MAX_PAIRS, EigenBasis, exact_basis, nystrom_basis
+from .eigenbasis import DEFAULT_MAX_PAIRS, ROW_CHUNK, EigenBasis, exact_basis, nystrom_basis
 from .errors import InsufficientData
 from .geometry import as_coords, kmeans_knots, mst_max_edge
 from .likelihood import ShrinkageParams, v_diag
@@ -79,7 +79,7 @@ def add_intercept(X: np.ndarray) -> np.ndarray:
 class FitOptions:
     """Tuning knobs for ``fit``; defaults follow the scale-capped scheme."""
 
-    knot_count: int | None = None         # default min(200, N)
+    knot_count: int | None = None         # default min(200, distinct sites)
     basis: str = "auto"                   # exact | nystrom | auto
     max_eigenpairs: int = DEFAULT_MAX_PAIRS
     tol: float = 1e-5
@@ -123,16 +123,20 @@ def reconstruct_svc(basis: EigenBasis, b_hat: np.ndarray,
                     params: ShrinkageParams, u_hat: np.ndarray,
                     svc_flags) -> np.ndarray:
     """Coefficient surfaces ``beta_k = b_k 1 + E V_k u_k`` (constant rows for
-    non-varying coefficients)."""
+    non-varying coefficients), pulling the basis rows chunk by chunk."""
     flags = np.asarray(svc_flags, dtype=bool).ravel()
     k = flags.shape[0]
     if b_hat.shape[0] != k:
         raise ValueError("one fixed effect per covariate required")
-    n = basis.vectors.shape[0]
+    varying = np.flatnonzero(flags)
+    coef = np.empty((basis.n_pairs, varying.size))
+    for a in range(varying.size):
+        coef[:, a] = v_diag(params.rho[a], params.alpha[a], basis.values) * u_hat[a]
+    n = basis.n_sites
     beta = np.tile(b_hat, (n, 1))
-    for a, j in enumerate(np.flatnonzero(flags)):
-        vk = v_diag(params.rho[a], params.alpha[a], basis.values)
-        beta[:, j] += basis.vectors @ (vk * u_hat[a])
+    for lo in range(0, n, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, n)
+        beta[lo:hi, varying] += basis.rows(lo, hi) @ coef
     return beta
 
 
@@ -149,8 +153,11 @@ def build_basis(coords, options: FitOptions) -> EigenBasis:
         kind = "exact" if n <= AUTO_EXACT_LIMIT else "nystrom"
     if kind == "exact":
         return exact_basis(coords, r, max_pairs=options.max_eigenpairs)
-    n_knots = options.knot_count if options.knot_count is not None else min(200, n)
-    knots = kmeans_knots(coords, min(n_knots, n), seed=options.seed)
+    if options.knot_count is None:
+        n_knots = min(200, np.unique(coords, axis=0).shape[0])
+    else:
+        n_knots = min(options.knot_count, n)
+    knots = kmeans_knots(coords, n_knots, seed=options.seed)
     return nystrom_basis(coords, knots, r, max_pairs=options.max_eigenpairs)
 
 
@@ -171,7 +178,7 @@ def fit(dataset: SpatialDataset, options: FitOptions | None = None) -> SvcFit:
     timings["basis"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    design = SvcDesign(X=dataset.X, y=dataset.y, vectors=basis.vectors,
+    design = SvcDesign(X=dataset.X, y=dataset.y, vectors=basis,
                        values=basis.values, svc_flags=dataset.svc_flags)
     moments = compress(design)
     timings["compress"] = time.perf_counter() - t0

@@ -6,6 +6,7 @@ import pytest
 
 from fastsvc.cli import main
 from fastsvc.gwr import GWR_SIZE_GUARD
+from fastsvc.model import FitOptions, build_basis
 from fastsvc.simulation import REPORT_COLUMNS
 
 
@@ -213,6 +214,23 @@ class TestEigen:
         assert vheader == ["lambda"]
         assert values.shape[0] == E.shape[1]
         assert np.all(np.diff(values[:, 0]) <= 0) and values.min() > 0
+
+    def test_streamed_nystrom_export_is_bytes_of_the_basis(self, tmp_path):
+        # more sites than one Nystrom evaluation block, so the export streams
+        coords = np.random.default_rng(5).standard_normal((9000, 2))
+        path = tmp_path / "sites.csv"
+        _write_csv(path, ["px", "py"], [[f"{v:.17g}" for v in row] for row in coords])
+        out = tmp_path / "eig"
+        rc = main(["eigen", "--input", str(path), "--coords", "px,py", "--basis", "nystrom",
+                   "--knots", "20", "--max-eigenpairs", "3", "--out", str(out)])
+        assert rc == 0
+        basis = build_basis(coords, FitOptions(knot_count=20, basis="nystrom",
+                                               max_eigenpairs=3))
+        want = tmp_path / "want.csv"
+        _write_csv(want, ["px", "py", "e1", "e2", "e3"],
+                   [[f"{v:.17g}" for v in row]
+                    for row in np.column_stack([coords, basis.vectors])])
+        assert (tmp_path / "eig.vectors.csv").read_bytes() == want.read_bytes()
 
 
 class TestGwrCommand:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastsvc.compression import SvcDesign, compress
-from fastsvc.eigenbasis import exact_basis
+from fastsvc.eigenbasis import EigenBasis, exact_basis
 from fastsvc.errors import DimensionMismatch, NonFiniteInput
 from fastsvc.geometry import mst_max_edge
 
@@ -129,3 +129,28 @@ class TestSvcDesignValidation:
         with pytest.raises(ValueError):
             SvcDesign(X=design.X, y=design.y, vectors=design.vectors,
                       values=design.values, svc_flags=np.array([False, True]))
+
+
+class TestNonFiniteBasisRows:
+    """A NaN in one chunk of basis rows raises ``NonFiniteInput``: an array
+    at construction, a streamed basis when compress reaches that chunk."""
+
+    def _poisoned(self):
+        design = _design(seed=14, n=100)
+        E = design.vectors.copy()
+        E[57, 2] = np.nan
+        return design, E
+
+    def test_array_backed(self):
+        design, E = self._poisoned()
+        with pytest.raises(NonFiniteInput):
+            compress(SvcDesign(X=design.X, y=design.y, vectors=E, values=design.values,
+                               svc_flags=design.svc_flags), chunk=20)
+
+    def test_streamed(self):
+        design, E = self._poisoned()
+        source = EigenBasis(values=design.values, range_r=1.0, kind="exact", stored=E)
+        streamed = SvcDesign(X=design.X, y=design.y, vectors=source,
+                             values=design.values, svc_flags=design.svc_flags)
+        with pytest.raises(NonFiniteInput, match="rows 40:60"):
+            compress(streamed, chunk=20)

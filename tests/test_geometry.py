@@ -176,6 +176,15 @@ class TestKmeansKnots:
         k2 = kmeans_knots(pts, 7, seed=3)
         assert np.array_equal(k1.centers, k2.centers)
 
+    def test_more_knots_than_distinct_sites(self):
+        # 30 sites, each observed three times
+        pts = np.repeat(np.random.default_rng(11).standard_normal((30, 2)), 3, axis=0)
+        with pytest.raises(InvalidKnotCount, match="n_knots=60 exceeds the 30 distinct"):
+            kmeans_knots(pts, 60, seed=0)
+        knots = kmeans_knots(pts, 30, seed=0)
+        assert knots.converged
+        assert np.unique(knots.centers, axis=0).shape[0] == 30
+
     def test_invalid_count(self):
         pts = np.zeros((4, 2))
         with pytest.raises(InvalidKnotCount):

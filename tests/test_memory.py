@@ -1,0 +1,82 @@
+"""A fit streams its Nystrom basis: compression holds one chunk buffer, one
+chunk of basis rows and the Gram, and the fit's peak memory grows by much
+less than one basis row per site.
+
+Every budget is counted from the shapes of the arrays the code makes.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from fastsvc.compression import SvcDesign, compress
+from fastsvc.eigenbasis import ROW_CHUNK, nystrom_basis
+from fastsvc.model import FitOptions, SpatialDataset, build_basis, fit
+
+OPTIONS = FitOptions(basis="nystrom", knot_count=100, max_sweeps=1, tol=0.0)
+DOUBLE = 8  # bytes
+
+
+def _dataset(n, seed=0, k=2):
+    rng = np.random.default_rng(seed)
+    coords = rng.standard_normal((n, 2))
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
+    y = X.sum(axis=1) + np.sin(2.0 * coords[:, 0]) + 0.3 * rng.standard_normal(n)
+    return SpatialDataset(coords=coords, y=y, X=X, svc_flags=np.ones(k, dtype=bool))
+
+
+def _peak(fn, *args):
+    """``fn(*args)`` and the bytes its traced allocations peaked at."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _compress_budget(m, knots, pairs):
+    """Bytes compress may hold: its buffer of ROW_CHUNK rows of ``[W, y]``;
+    one chunk of Nystrom rows, whose chunk-by-knots kernel and chunk-by-L
+    rows are each made twice (the kernel's negated copy, the product before
+    it is copied into place); and twice the Gram of ``[W, y]``."""
+    buffer = ROW_CHUNK * (m + 1) * DOUBLE
+    rows = 2 * ROW_CHUNK * (knots + pairs) * DOUBLE
+    return buffer + rows + 2 * (m + 1) ** 2 * DOUBLE
+
+
+def _design(ds, vectors, basis):
+    return SvcDesign(X=ds.X, y=ds.y, vectors=vectors, values=basis.values,
+                     svc_flags=ds.svc_flags)
+
+
+def test_compress_holds_one_chunk_and_matches_the_array_route():
+    ds = _dataset(3000)
+    basis = build_basis(ds.coords, OPTIONS)
+    streamed, peak = _peak(compress, _design(ds, basis, basis))
+    assert peak <= _compress_budget(streamed.size, basis.knots.count, basis.n_pairs)
+
+    array = compress(_design(ds, basis.vectors, basis))
+    for name in ("gram", "gy"):
+        got, want = getattr(streamed, name), getattr(array, name)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert abs(streamed.yty - array.yty) <= 1e-12 * array.yty
+
+
+def test_fit_peak_does_not_hold_the_basis():
+    peaks, fits = {}, {}
+    for n in (3000, 6000):
+        ds = _dataset(n)
+        fits[n], peaks[n] = _peak(fit, ds, OPTIONS)
+        basis = fits[n].basis
+        m = ds.n_cov * (1 + basis.n_pairs)
+        # the compression stage, plus the fit's surfaces and the basis's sites
+        per_site = (ds.n_cov + 2) * DOUBLE
+        assert peaks[n] <= (_compress_budget(m, basis.knots.count, basis.n_pairs)
+                            + n * per_site)
+        reference = nystrom_basis(ds.coords, basis.knots, basis.range_r)
+        assert np.array_equal(basis.vectors, reference.vectors)
+    # a stored (N, L) basis would add 3000 rows of L doubles
+    assert peaks[6000] - peaks[3000] < 3000 * fits[6000].basis.n_pairs * DOUBLE

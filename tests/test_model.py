@@ -8,6 +8,7 @@ from fastsvc.model import (
     FitOptions,
     SpatialDataset,
     add_intercept,
+    build_basis,
     fit,
     reconstruct_svc,
 )
@@ -114,6 +115,17 @@ class TestFit:
         res = fit(inst.dataset, FitOptions(basis="exact", seed=0))
         assert set(res.timings) == {"basis", "compress", "estimate"}
         assert all(v >= 0 for v in res.timings.values())
+
+
+class TestBuildBasis:
+    def test_default_knot_count_stops_at_distinct_sites(self, caplog):
+        # 1500 observations on 150 sites: 150 knots, not 200
+        sites = np.random.default_rng(21).standard_normal((150, 2))
+        coords = np.repeat(sites, 10, axis=0)
+        with caplog.at_level("WARNING", logger="fastsvc"):
+            basis = build_basis(coords, FitOptions(basis="nystrom"))
+        assert basis.knots.count == 150 and basis.knots.converged
+        assert not caplog.records
 
 
 class TestReconstruct:
