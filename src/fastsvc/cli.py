@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .eigenbasis import DEFAULT_MAX_PAIRS, NYSTROM_CHUNK
-from .errors import FastSvcError
+from .errors import DependentCovariates, FastSvcError
 from .gwr import GwrGrid, gwr_fit
 from .model import FitOptions, SpatialDataset, build_basis, fit
 from .simulation import ExperimentSpec, SimConfig, generate, run_experiment, write_report
@@ -128,7 +128,12 @@ def _load_dataset(args):
         if unknown:
             raise InputError(f"--svc names not among --x columns: {sorted(unknown)}")
         flags = np.array([True] + [nm in chosen for nm in x_names])
-    dataset = SpatialDataset(coords=coords, y=y, X=X, svc_flags=flags)
+    try:
+        dataset = SpatialDataset(coords=coords, y=y, X=X, svc_flags=flags)
+    except DependentCovariates as exc:
+        named = ", ".join(repr(col_names[j]) for j in exc.columns)
+        raise InputError(f"covariate column(s) {named} are linear combinations of "
+                         "the intercept and the --x columns before them") from exc
     return dataset, col_names, (px_name, py_name)
 
 

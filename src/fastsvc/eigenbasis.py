@@ -110,8 +110,7 @@ class EigenBasis:
         Nystrom formula evaluated at those sites."""
         if self.stored is not None:
             return self.stored[lo:hi]
-        return _nystrom_rows(self.sites[lo:hi], self.knots, self.range_r,
-                             self.knot_vectors, self.knot_values, self.row_correction)
+        return basis_at(self, self.sites[lo:hi])
 
     @property
     def vectors(self) -> np.ndarray:

@@ -91,6 +91,18 @@ class InsufficientData(FastSvcError):
     """Need more rows than fixed-effect columns."""
 
 
+class DependentCovariates(FastSvcError):
+    """Covariate columns are linearly dependent: collinear, constant or
+    duplicated. ``columns`` holds the indices of the columns that are linear
+    combinations of the columns before them."""
+
+    def __init__(self, columns, rank: int):
+        self.columns = tuple(columns)
+        super().__init__(
+            f"covariate column(s) {list(self.columns)} of X are linear combinations "
+            f"of the columns before them (rank {rank} of {rank + len(self.columns)})")
+
+
 # -- gwr --------------------------------------------------------------------
 
 class LocalSingularity(FastSvcError):

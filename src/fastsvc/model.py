@@ -16,7 +16,7 @@ import numpy as np
 
 from .compression import SvcDesign, _check_regression, compress
 from .eigenbasis import DEFAULT_MAX_PAIRS, ROW_CHUNK, EigenBasis, exact_basis, nystrom_basis
-from .errors import InsufficientData
+from .errors import DependentCovariates, InsufficientData
 from .geometry import as_coords, kmeans_knots, mst_max_edge
 from .likelihood import ShrinkageParams, v_diag
 from .sequential import FitTrace, fit_sequential
@@ -31,7 +31,8 @@ class SpatialDataset:
 
     ``X[:, 0]`` must be the constant 1; its coefficient surface doubles as
     the spatially dependent residual term, so it always varies. Construction
-    enforces this, and finite coordinates, covariates and response, so a
+    enforces this, finite coordinates, covariates and response, and (with at
+    least as many rows as columns) covariates of full column rank, so a
     malformed dataset fails before any fitting work.
     """
 
@@ -57,6 +58,10 @@ class SpatialDataset:
         if flags.shape[0] != X.shape[1]:
             raise ValueError("need one svc flag per covariate")
         _check_regression(X, y, flags)
+        if n >= X.shape[1]:  # fewer rows than columns is fit's InsufficientData
+            dependent = _dependent_columns(X)
+            if dependent:
+                raise DependentCovariates(dependent, X.shape[1] - len(dependent))
 
     @property
     def n_obs(self) -> int:
@@ -65,6 +70,20 @@ class SpatialDataset:
     @property
     def n_cov(self) -> int:
         return self.X.shape[1]
+
+
+def _dependent_columns(X: np.ndarray) -> list[int]:
+    """Indices of the columns of ``X`` that are linear combinations of the
+    columns before them. Every leading block is ranked at numpy's default
+    ``matrix_rank`` tolerance for the whole of ``X``; singular values only
+    grow as columns are added, so the count equals the rank deficiency."""
+    s = np.linalg.svd(X, compute_uv=False)
+    tol = s.max() * max(X.shape) * np.finfo(X.dtype).eps
+    if np.count_nonzero(s > tol) == X.shape[1]:
+        return []
+    ranks = [0] + [np.linalg.matrix_rank(X[:, :j], tol=tol)
+                   for j in range(1, X.shape[1] + 1)]
+    return [j for j in range(X.shape[1]) if ranks[j + 1] == ranks[j]]
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:

@@ -44,10 +44,10 @@ depends on the target's parameters, and ``d ln|A| / d v_l = 2 v_l [A^{-1}]_ll``,
     d loglik / d ln rho = sum_l g_l,    d loglik / d alpha = sum_l g_l ln(lambda_l) / 2
 
 ``diag(A^{-1})`` is the column sums of squares of the inverse Cholesky
-factor of ``A``, one triangular inverse per evaluation that asks for the
-gradient (the simplex search does not). Every ``g_l``
+factor of ``A``, one triangular inverse per evaluation. Every ``g_l``
 carries ``v_l^2``, so the gradient in ln rho vanishes like rho^2 as rho
-approaches 0: the likelihood is flat there, which ``optimize_k`` allows for.
+approaches 0: the likelihood is flat there, so ``optimize_k`` decides
+collapse against the exact rho = 0 likelihood, not by where its search ends.
 """
 
 from __future__ import annotations
@@ -79,20 +79,15 @@ RHO_BOUNDS = (1e-6, 1e6)
 #: optimizer box for the scale exponent
 ALPHA_BOUNDS = (0.0, 4.0)
 
-#: restart points (rho, alpha) for the per-coordinate simplex search
+#: extra starting points (rho, alpha) of the first sweep's coordinate searches
 RESTARTS = ((0.1, 0.5), (1.0, 1.0), (1.0, 2.0))
 
-#: rho at or below this multiple of its lower bound collapses the coefficient
-COLLAPSE_FACTOR = 1.5
-
-#: L-BFGS-B stops when a step lowers -loglik by less than this relative amount
-GRAD_FTOL = 1e-12
-
-#: ... or when the projected gradient (nats per unit of log rho or alpha) is below this
+#: L-BFGS-B stops when the projected gradient (nats per unit of log rho or
+#: alpha) is below this
 GRAD_GTOL = 1e-5
 
-#: a gradient search within this many nats of the collapsed loglik is checked
-#: by the simplex search
+#: a coefficient whose best loglik beats the collapsed one (rho = 0) by less
+#: than this many nats collapses
 COLLAPSE_MARGIN = 1e-6
 
 
@@ -157,14 +152,13 @@ def build_cache(moments: CompressedMoments, params: ShrinkageParams,
     )
 
 
-def fast_loglik(cache: PerKCache, rho: float, alpha: float,
-                gradient: bool = True) -> LikelihoodResult:
+def fast_loglik(cache: PerKCache, rho: float, alpha: float) -> LikelihoodResult:
     """Restricted log-likelihood at target (rho, alpha), off-target fixed.
 
     One L x L Cholesky per call serves the Woodbury-updated coefficient
-    solve, the block-determinant expansion of ln|P| and, with ``gradient``,
-    the gradient of the loglik in (log rho, alpha), returned as ``grad``
-    (its triangular inverse costs about as much as the rest of the call).
+    solve, the block-determinant expansion of ln|P| and the gradient of the
+    loglik in (log rho, alpha), returned as ``grad`` (its triangular inverse
+    costs about as much as the rest of the call).
     """
     k, block = cache.n_cov, cache.block
     vt = v_diag(rho, alpha, cache.values)
@@ -181,21 +175,18 @@ def fast_loglik(cache: PerKCache, rho: float, alpha: float,
     nmk = cache.n_obs - k
     loglik = _assemble_loglik(cache.logdet_r + logdet_inner, d_theta,
                               cache.n_obs, k, cache.yty)
-    grad = None
-    if gradient:
-        # diag(A^{-1}) from the inverse factor; cho_factor leaves the input's
-        # entries in the other triangle, so they are zeroed before inverting
-        factor_inv, _ = lapack.dtrtri(np.tril(factor[0]), lower=1)
-        g = vt ** 2 * (nmk * w ** 2 / d_theta
-                       - np.einsum("ij,ij->j", factor_inv, factor_inv))
-        grad = np.array([g.sum(), 0.5 * (g @ np.log(cache.values))])
+    # diag(A^{-1}) from the inverse factor; cho_factor leaves the input's
+    # entries in the other triangle, so they are zeroed before inverting
+    factor_inv, _ = lapack.dtrtri(np.tril(factor[0]), lower=1)
+    g = vt ** 2 * (nmk * w ** 2 / d_theta
+                   - np.einsum("ij,ij->j", factor_inv, factor_inv))
     return LikelihoodResult(
         loglik=loglik,
         b_hat=z[:k],
         u_hat=z[k:].reshape(-1, vt.shape[0]),
         d_theta=d_theta,
         sigma2_hat=d_theta / nmk,
-        grad=grad,
+        grad=np.array([g.sum(), 0.5 * (g @ np.log(cache.values))]),
     )
 
 
@@ -209,12 +200,16 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
 
     L-BFGS-B on the analytic gradient over the box in (log rho, alpha),
     started from the incoming pair and, in the first sweep (``sweep == 0``)
-    only, also from ``RESTARTS``. The gradient in log rho vanishes as rho
-    approaches 0, so a gradient search can stop on that plateau or short of
-    the bound. When its result pins rho at the lower bound, or beats the
-    exactly collapsed loglik (rho = 0) by less than ``COLLAPSE_MARGIN``
-    nats, the derivative-free simplex search from ``RESTARTS`` runs as
-    well, and the coefficient collapses only if that search also pins.
+    or when the incoming evaluation fails, also from ``RESTARTS``. The search minimizes ``-loglik / (N - K)``
+    with the gradient tolerance scaled alike, so its one convergence test is
+    the projected gradient in nats, ``GRAD_GTOL``. The box is closed on every
+    side, so the first L-BFGS-B step is the raw gradient: per residual degree
+    of freedom it moves O(1), where in nats (hundreds of them) it jumped to a
+    corner of the box. The gradient in log rho vanishes as rho approaches 0,
+    so the search may stop short of the bound there; the exactly collapsed
+    loglik (rho = 0) is then evaluated, and when the best point beats it by
+    less than ``COLLAPSE_MARGIN`` nats the step returns rho = 0 with that
+    loglik.
 
     At most ``budget`` calls of ``fast_loglik``. A failed evaluation is
     counted in ``failures`` (error class name -> count) and never aborts
@@ -227,18 +222,21 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
     lo = np.log(RHO_BOUNDS[0])
     hi = np.log(RHO_BOUNDS[1])
     box = [(lo, hi), ALPHA_BOUNDS]
-    collapse_at = COLLAPSE_FACTOR * RHO_BOUNDS[0]
+    per_dof = 1.0 / (cache.n_obs - cache.n_cov)
+    # no relative-reduction stop (ftol): a step from a small scaled gradient
+    # is short, and its small gain would end the search far above gtol
+    options = dict(ftol=0.0, gtol=GRAD_GTOL * per_dof)
     failures = {} if failures is None else failures
     n_eval = 0
 
-    def evaluate(rho, alpha, gradient=True):
+    def evaluate(rho, alpha):
         """One counted ``fast_loglik`` call; None when it fails."""
         nonlocal n_eval
         if n_eval >= budget:
             raise _BudgetSpent
         n_eval += 1
         try:
-            return fast_loglik(cache, rho, alpha, gradient)
+            return fast_loglik(cache, rho, alpha)
         except FastSvcError as exc:
             name = type(exc).__name__
             failures[name] = failures.get(name, 0) + 1
@@ -248,10 +246,9 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
         return np.array([np.clip(np.log(max(rho, RHO_BOUNDS[0])), lo, hi),
                          np.clip(alpha, *ALPHA_BOUNDS)])
 
-    def search(best, x0, method, first=None, **options):
-        """Best ``(loglik, rho, alpha)`` of ``best`` and the points ``method``
+    def search(best, x0, first=None):
+        """Best ``(loglik, rho, alpha)`` of ``best`` and the points L-BFGS-B
         evaluates from ``x0``; ``first`` is the known evaluation at ``x0``."""
-        jac = method == "L-BFGS-B"
 
         def objective(x):
             nonlocal best, first
@@ -259,15 +256,15 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
                 res, first = first, None
             else:
                 rho, alpha = float(np.exp(x[0])), float(x[1])
-                res = evaluate(rho, alpha, jac)
+                res = evaluate(rho, alpha)
                 if res is not None and res.loglik > best[0]:
                     best = (res.loglik, rho, alpha)
             if res is None:  # reads as +inf, which no search accepts
-                return (np.inf, np.zeros(2)) if jac else np.inf
-            return (-res.loglik, -res.grad) if jac else -res.loglik
+                return np.inf, np.zeros(2)
+            return -per_dof * res.loglik, -per_dof * res.grad
 
         try:
-            minimize(objective, x0, method=method, jac=jac or None, bounds=box,
+            minimize(objective, x0, method="L-BFGS-B", jac=True, bounds=box,
                      options=options)
         except _BudgetSpent:
             pass
@@ -276,29 +273,19 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
     rho_in = float(params.rho[target])
     alpha_in = float(params.alpha[target])
     incoming = evaluate(rho_in, alpha_in)
-    start = (-np.inf if incoming is None else incoming.loglik, rho_in, alpha_in)
-    best = start
-    lbfgs = dict(ftol=GRAD_FTOL, gtol=GRAD_GTOL)
+    best = (-np.inf if incoming is None else incoming.loglik, rho_in, alpha_in)
     if not (RHO_BOUNDS[0] <= rho_in <= RHO_BOUNDS[1]
             and ALPHA_BOUNDS[0] <= alpha_in <= ALPHA_BOUNDS[1]):
-        best = search(best, point(rho_in, alpha_in), "L-BFGS-B", **lbfgs)
+        best = search(best, point(rho_in, alpha_in))
     elif incoming is not None:
-        best = search(best, point(rho_in, alpha_in), "L-BFGS-B", first=incoming,
-                      **lbfgs)
-    for rho0, alpha0 in RESTARTS if sweep == 0 else ():
-        best = search(best, point(rho0, alpha0), "L-BFGS-B", **lbfgs)
+        best = search(best, point(rho_in, alpha_in), first=incoming)
+    for rho0, alpha0 in RESTARTS if sweep == 0 or incoming is None else ():
+        best = search(best, point(rho0, alpha0))
 
     if n_eval < budget:
-        collapsed = evaluate(0.0, best[2], gradient=False)
-        if collapsed is not None and (best[1] <= collapse_at
-                                      or best[0] - collapsed.loglik < COLLAPSE_MARGIN):
-            simplex = start
-            per_start = max(1, (budget - n_eval) // len(RESTARTS))
-            for rho0, alpha0 in RESTARTS:
-                simplex = search(simplex, point(rho0, alpha0), "Nelder-Mead",
-                                 maxfev=per_start, xatol=1e-4, fatol=1e-7)
-            if simplex[1] <= collapse_at or best[1] <= collapse_at or simplex[0] > best[0]:
-                best = simplex
+        collapsed = evaluate(0.0, best[2])
+        if collapsed is not None and collapsed.loglik > best[0] - COLLAPSE_MARGIN:
+            return 0.0, best[2], collapsed.loglik, n_eval
     return best[1], best[2], best[0], n_eval
 
 
@@ -327,9 +314,10 @@ def fit_sequential(moments: CompressedMoments,
 
     Each coordinate step rebuilds its cache at the current off-target
     parameters and maximizes the target pair with ``optimize_k``, which
-    tries its restarts in the first sweep only. A coefficient whose optimal
-    rho pins at the lower search bound is collapsed to a constant (rho set
-    to exactly 0) and skipped in later sweeps. Failed evaluations are
+    tries its restarts in the first sweep only. A coefficient for which
+    ``optimize_k`` returns rho = 0 (its best loglik is within
+    ``COLLAPSE_MARGIN`` of the collapsed one) is a constant from then on and
+    is skipped in later sweeps. Failed evaluations are
     summed by error class in ``FitTrace.failed``. The returned result is
     recomputed from the compressed likelihood at the final parameters.
 
@@ -347,7 +335,6 @@ def fit_sequential(moments: CompressedMoments,
         raise ValueError("init length must match the number of varying coefficients")
 
     trace = FitTrace(collapsed=np.zeros(kv, dtype=bool))
-    collapse_at = COLLAPSE_FACTOR * RHO_BOUNDS[0]
     prev_ll = -np.inf
     for sweep in range(max_sweeps):
         ll = prev_ll
@@ -361,9 +348,7 @@ def fit_sequential(moments: CompressedMoments,
             counts.append(n_eval)
             if np.isfinite(ll_a):
                 ll = ll_a
-            if rho <= collapse_at:
-                trace.collapsed[a] = True
-                rho = 0.0
+            trace.collapsed[a] = rho == 0.0
             params = params.with_entry(a, rho, alpha)
         trace.sweep_logliks.append(ll)
         trace.eval_counts.append(counts)

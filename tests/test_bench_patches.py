@@ -20,3 +20,22 @@ def test_every_patched_attribute_resolves():
     missing = [(module, attr) for module, attr, _ in patches
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_a_nystrom_fit_records_every_patched_span():
+    import numpy as np
+
+    from fastsvc.model import FitOptions, SpatialDataset, fit
+
+    spans = _bench_spans()
+    rng = np.random.default_rng(0)
+    n = 600
+    X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+    ds = SpatialDataset(coords=rng.uniform(0.0, 10.0, (n, 2)),
+                        y=X @ np.array([1.0, 2.0]) + rng.standard_normal(n),
+                        X=X, svc_flags=np.ones(2, bool))
+    recorder = spans.Recorder()
+    with spans.installed(recorder), recorder.fit():
+        fit(ds, FitOptions(basis="nystrom", knot_count=40, seed=0))
+    recorded = {sp.name for sp in recorder.spans}
+    assert {name for _, _, name in spans.PATCHES} - recorded == set()

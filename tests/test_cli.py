@@ -157,17 +157,20 @@ class TestFit:
         assert rc == 2
         assert "rows" in capsys.readouterr().err
 
-    def test_estimation_failure_exit_3(self, tmp_path, capsys):
-        # duplicated covariate makes the penalized system singular
+    @pytest.mark.parametrize("case", ["collinear", "constant", "duplicated"])
+    def test_dependent_covariate_exit_2(self, tmp_path, capsys, case):
+        # rejected when the dataset is built, before any basis work
         rng = np.random.default_rng(0)
-        rows = [[*rng.standard_normal(2), rng.standard_normal(), v, v]
-                for v in rng.standard_normal(40)]
-        path = tmp_path / "collinear.csv"
-        _write_csv(path, ["px", "py", "y", "x1", "x2"], rows)
+        x1 = rng.standard_normal(40)
+        x2 = {"collinear": 2.0 * x1, "constant": np.full(40, 3.0), "duplicated": x1}[case]
+        rows = np.column_stack([rng.standard_normal((40, 3)), x1, x2])
+        path = tmp_path / "dependent.csv"
+        _write_csv(path, ["px", "py", "y", "x1", "x2"], rows.tolist())
         rc = main(["fit", "--input", str(path), "--y", "y", "--x", "x1,x2",
                    "--coords", "px,py", "--basis", "exact"])
-        assert rc == 3
-        assert "Singular" in capsys.readouterr().err
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'x2'" in err and "'x1'" not in err
 
 
 class TestInvalidOptions:

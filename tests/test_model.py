@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fastsvc.errors import InsufficientData, NonFiniteInput
+from fastsvc.errors import DependentCovariates, InsufficientData, NonFiniteInput
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.model import (
@@ -48,6 +48,17 @@ class TestSpatialDatasetContract:
             y[11] = np.inf
         with pytest.raises(error):
             SpatialDataset(coords=ds.coords, y=y, X=X, svc_flags=flags)
+
+    @pytest.mark.parametrize("case", ["collinear", "constant", "duplicated"])
+    def test_dependent_covariates_named_at_construction(self, case):
+        ds, X, y = _null_dataset(seed=14, n=3000)
+        x1 = X[:, 1]
+        dependent = {"collinear": 2.0 * x1, "constant": np.full(3000, 3.0),
+                     "duplicated": x1}[case]
+        X = np.column_stack([X, dependent])
+        with pytest.raises(DependentCovariates, match=r"\[3\]") as err:
+            SpatialDataset(coords=ds.coords, y=y, X=X, svc_flags=np.ones(4, bool))
+        assert err.value.columns == (3,)
 
 
 class TestFit:

@@ -180,15 +180,6 @@ class TestGradient:
                     got, fd_gradient(moments, params, t, rho, alpha), rtol=1e-6, atol=1e-7,
                     err_msg=f"target {t} at rho={rho}, alpha={alpha}")
 
-    def test_skipping_it_leaves_the_rest_unchanged(self):
-        moments, params = _instance(23)
-        cache = build_cache(moments, params, 1)
-        full = fast_loglik(cache, 0.4, 2.5)
-        bare = fast_loglik(cache, 0.4, 2.5, gradient=False)
-        assert bare.grad is None and full.grad.shape == (2,)
-        assert bare.loglik == full.loglik
-        np.testing.assert_array_equal(bare.u_hat, full.u_hat)
-
 
 class TestOptimizeK:
     def test_never_worse_than_incoming_optimum(self):
@@ -223,11 +214,11 @@ class TestOptimizeK:
         incoming = fast_loglik(cache, 0.25, 1.0).loglik
         raised = []
 
-        def flaky(cache, rho, alpha, *gradient):
+        def flaky(cache, rho, alpha):
             if rho > 0.3:
                 raised.append(rho)
                 raise SingularInnerMatrix("injected")
-            return fast_loglik(cache, rho, alpha, *gradient)
+            return fast_loglik(cache, rho, alpha)
 
         monkeypatch.setattr(sequential, "fast_loglik", flaky)
         failures = {}
@@ -239,6 +230,27 @@ class TestOptimizeK:
         _, _, trace = fit_sequential(moments, params, max_sweeps=2)
         assert raised and trace.failed == {"SingularInnerMatrix": len(raised)}
 
+    def test_failed_incoming_point_still_searched(self, monkeypatch):
+        # after sweep 0 the search starts only from the incoming pair; when
+        # that evaluation fails the restarts run, so the step cannot collapse
+        # a coefficient with an interior optimum unsearched
+        import fastsvc.sequential as sequential
+
+        moments, params = _instance(30, k=3)
+        cache = build_cache(moments, params, 1)
+        rho, _, ll, _ = optimize_k(cache, params, 1, sweep=1)
+        assert rho > 0.0
+        incoming = (float(params.rho[1]), float(params.alpha[1]))
+
+        def failing_at_incoming(cache, rho, alpha):
+            if (rho, alpha) == incoming:
+                raise SingularInnerMatrix("injected")
+            return fast_loglik(cache, rho, alpha)
+
+        monkeypatch.setattr(sequential, "fast_loglik", failing_at_incoming)
+        rho_f, _, ll_f, _ = optimize_k(cache, params, 1, sweep=1)
+        assert rho_f > 0.0 and ll_f >= ll - 1e-6
+
     def test_budget_validated(self):
         moments, params = _instance(11, k=2)
         cache = build_cache(moments, params, 0)
@@ -247,6 +259,40 @@ class TestOptimizeK:
 
 
 class TestFitSequential:
+    def test_collapse_returns_the_exact_zero_ratio_loglik(self, monkeypatch):
+        # a smooth surface on the intercept only: the other coefficients
+        # have no spatial variation, and some of them collapse
+        import fastsvc.sequential as sequential
+        from fastsvc.compression import compress
+
+        _, basis, design, _ = random_instance(1, n=200, k=3, max_pairs=20, noise=0.5)
+        y = design.y + 2.0 * np.sqrt(200) * basis.vectors[:, :3].sum(axis=1)
+        moments = compress(dataclasses.replace(design, y=y))
+        steps = []
+
+        def recorded(cache, params, target, **kwargs):
+            out = optimize_k(cache, params, target, **kwargs)
+            steps.append((cache, target, out))
+            return out
+
+        monkeypatch.setattr(sequential, "optimize_k", recorded)
+        params, _, trace = fit_sequential(moments)
+        collapsing = [(cache, target, out) for cache, target, out in steps
+                      if out[0] == 0.0]
+        assert collapsing
+        for cache, _, (_, alpha, ll, _) in collapsing:
+            assert ll == fast_loglik(cache, 0.0, alpha).loglik
+        assert sorted(t for _, t, _ in collapsing) == list(np.flatnonzero(trace.collapsed))
+        np.testing.assert_array_equal(trace.collapsed, params.rho == 0.0)
+        assert not trace.collapsed.all()
+
+    def test_no_evaluation_fails_on_the_cli_fixture(self):
+        # the first search step used to jump to the (1e6, 4) corner of the
+        # box, where two evaluations failed with SingularInnerMatrix
+        inst = gen_large(SimConfig(n=250, k=2, seed=7, generator="large",
+                                   knot_count=250))
+        assert fit(inst.dataset, FitOptions()).trace.failed == {}
+
     def test_single_coefficient_converges_in_two_sweeps(self):
         from fastsvc.compression import SvcDesign, compress
 
