@@ -5,6 +5,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from fastsvc.model import FitOptions, SpatialDataset, fit
+
 
 def _bench_spans():
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -23,10 +27,6 @@ def test_every_patched_attribute_resolves():
 
 
 def test_a_nystrom_fit_records_every_patched_span():
-    import numpy as np
-
-    from fastsvc.model import FitOptions, SpatialDataset, fit
-
     spans = _bench_spans()
     rng = np.random.default_rng(0)
     n = 600
