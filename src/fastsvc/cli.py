@@ -174,6 +174,7 @@ def cmd_fit(args) -> int:
         "sigma2": result.sigma2_hat,
         "loglik": result.loglik,
         "sweeps": result.trace.n_sweeps,
+        "evaluations": sum(map(sum, result.trace.eval_counts)),
         "converged": result.trace.converged,
         "failed_evaluations": result.trace.failed,
         "timings_s": {**result.timings, "total": total},
@@ -218,10 +219,10 @@ def cmd_simulate(args) -> int:
 def cmd_benchmark(args) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     n_values = tuple(int(s) for s in args.n.split(",") if s.strip())
+    options = _checked(FitOptions, basis="nystrom", seed=args.seed)
     spec = _checked(ExperimentSpec, methods=methods, n_values=n_values, k=args.k,
                     reps=args.reps, seed=args.seed, generator=args.generator,
-                    gen_knot_count=args.gen_knots,
-                    fit_options=FitOptions(basis="nystrom", seed=args.seed))
+                    gen_knot_count=args.gen_knots, fit_options=options)
     rows = run_experiment(spec)
     write_report(rows, args.out)
     print(f"benchmark: {len(rows)} rows -> {args.out}")

@@ -45,6 +45,8 @@ class GwrGrid:
         if self.b_min is not None and self.b_max is not None \
                 and not self.b_min < self.b_max:
             raise ValueError(f"need b_min < b_max, got {self.b_min} and {self.b_max}")
+        if self.n_points < 1:
+            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
 
     def resolve(self, coords: np.ndarray) -> np.ndarray:
         span = coords.max(axis=0) - coords.min(axis=0)

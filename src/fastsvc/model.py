@@ -116,6 +116,10 @@ class FitOptions:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.range_r is not None and not 0 < self.range_r < np.inf:
+            raise ValueError(f"range_r must be finite and > 0, got {self.range_r}")
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,8 @@ RHO_BOUNDS = (1e-6, 1e6)
 #: optimizer box for the scale exponent
 ALPHA_BOUNDS = (0.0, 4.0)
 
-#: extra starting points (rho, alpha) of the first sweep's coordinate searches
+#: starting points (rho, alpha) of the first sweep's coordinate searches, and
+#: of any later step whose incoming evaluation fails
 RESTARTS = ((0.1, 0.5), (1.0, 1.0), (1.0, 2.0))
 
 #: L-BFGS-B stops when the projected gradient (nats per unit of log rho or
@@ -199,10 +200,12 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
     """Maximize the target coordinate's restricted likelihood.
 
     L-BFGS-B on the analytic gradient over the box in (log rho, alpha),
-    started from the incoming pair and, in the first sweep (``sweep == 0``)
-    or when the incoming evaluation fails, also from ``RESTARTS``. The search minimizes ``-loglik / (N - K)``
-    with the gradient tolerance scaled alike, so its one convergence test is
-    the projected gradient in nats, ``GRAD_GTOL``. The box is closed on every
+    started from each of ``RESTARTS`` in the first sweep (``sweep == 0``)
+    or when the incoming evaluation fails, and otherwise from the incoming
+    pair alone, clipped into the box. The incoming pair is evaluated first
+    in every case. The search minimizes ``-loglik / (N - K)`` with the
+    gradient tolerance scaled alike, so its one convergence test is the
+    projected gradient in nats, ``GRAD_GTOL``. The box is closed on every
     side, so the first L-BFGS-B step is the raw gradient: per residual degree
     of freedom it moves O(1), where in nats (hundreds of them) it jumped to a
     corner of the box. The gradient in log rho vanishes as rho approaches 0,
@@ -246,21 +249,18 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
         return np.array([np.clip(np.log(max(rho, RHO_BOUNDS[0])), lo, hi),
                          np.clip(alpha, *ALPHA_BOUNDS)])
 
-    def search(best, x0, first=None):
+    def search(best, x0):
         """Best ``(loglik, rho, alpha)`` of ``best`` and the points L-BFGS-B
-        evaluates from ``x0``; ``first`` is the known evaluation at ``x0``."""
+        evaluates from ``x0``."""
 
         def objective(x):
-            nonlocal best, first
-            if first is not None:
-                res, first = first, None
-            else:
-                rho, alpha = float(np.exp(x[0])), float(x[1])
-                res = evaluate(rho, alpha)
-                if res is not None and res.loglik > best[0]:
-                    best = (res.loglik, rho, alpha)
+            nonlocal best
+            rho, alpha = float(np.exp(x[0])), float(x[1])
+            res = evaluate(rho, alpha)
             if res is None:  # reads as +inf, which no search accepts
                 return np.inf, np.zeros(2)
+            if res.loglik > best[0]:
+                best = (res.loglik, rho, alpha)
             return -per_dof * res.loglik, -per_dof * res.grad
 
         try:
@@ -274,12 +274,8 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
     alpha_in = float(params.alpha[target])
     incoming = evaluate(rho_in, alpha_in)
     best = (-np.inf if incoming is None else incoming.loglik, rho_in, alpha_in)
-    if not (RHO_BOUNDS[0] <= rho_in <= RHO_BOUNDS[1]
-            and ALPHA_BOUNDS[0] <= alpha_in <= ALPHA_BOUNDS[1]):
-        best = search(best, point(rho_in, alpha_in))
-    elif incoming is not None:
-        best = search(best, point(rho_in, alpha_in), first=incoming)
-    for rho0, alpha0 in RESTARTS if sweep == 0 or incoming is None else ():
+    starts = RESTARTS if sweep == 0 or incoming is None else ((rho_in, alpha_in),)
+    for rho0, alpha0 in starts:
         best = search(best, point(rho0, alpha0))
 
     if n_eval < budget:
@@ -314,7 +310,8 @@ def fit_sequential(moments: CompressedMoments,
 
     Each coordinate step rebuilds its cache at the current off-target
     parameters and maximizes the target pair with ``optimize_k``, which
-    tries its restarts in the first sweep only. A coefficient for which
+    searches from ``RESTARTS`` in the first sweep and from the incoming pair
+    in later ones. A coefficient for which
     ``optimize_k`` returns rho = 0 (its best loglik is within
     ``COLLAPSE_MARGIN`` of the collapsed one) is a constant from then on and
     is skipped in later sweeps. Failed evaluations are

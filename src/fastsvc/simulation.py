@@ -67,6 +67,8 @@ class SimConfig:
             raise ValueError(f"need k >= 1 and n >= k + 1, got n={self.n}, k={self.k}")
         if self.generator not in ("small", "large"):
             raise ValueError(f"unknown generator {self.generator!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 1 <= self.knot_count <= MAX_GEN_KNOTS:
             raise ValueError(
                 f"knot_count must be in [1, {MAX_GEN_KNOTS}], got {self.knot_count}")

@@ -78,6 +78,7 @@ class TestFit:
         assert summary["loglik"] == pytest.approx(res.loglik)
         assert summary["sigma2"] == pytest.approx(res.sigma2_hat)
         assert summary["failed_evaluations"] == res.trace.failed
+        assert summary["evaluations"] == sum(map(sum, res.trace.eval_counts)) > 0
 
     def test_svc_default_all_varying(self, sim_prefix, tmp_path):
         out = tmp_path / "fit2"
@@ -181,19 +182,31 @@ class TestInvalidOptions:
         ("gwr", ["--bandwidth", "-1"], "got -1.0"),
         ("gwr", ["--bmin", "1e9"], "got 1000000000.0 and"),
         ("simulate", ["--k", "0"], "k=0"),
+        ("eigen", ["--range", "0"], "got 0.0"),
+        ("eigen", ["--range", "-1"], "got -1.0"),
+        ("eigen", ["--range", "nan"], "got nan"),
+        ("eigen", ["--range", "inf"], "got inf"),
+        ("gwr", ["--grid-points", "0"], "got 0"),
+        ("fit", ["--seed", "-1"], "got -1"),
+        ("eigen", ["--seed", "-1"], "got -1"),
+        ("simulate", ["--k", "1", "--seed", "-1"], "got -1"),
+        ("benchmark", ["--seed", "-1"], "got -1"),
     ], ids=["fit-knots", "fit-max-eigenpairs", "gwr-bmin-above-bmax", "gwr-bandwidth",
-            "gwr-bmin-above-data-default", "simulate-k"])
+            "gwr-bmin-above-data-default", "simulate-k", "eigen-range-zero",
+            "eigen-range-negative", "eigen-range-nan", "eigen-range-inf",
+            "gwr-grid-points", "fit-seed", "eigen-seed", "simulate-seed",
+            "benchmark-seed"])
     def test_exit_2_naming_the_value(self, tmp_path, capsys, command, flags, named):
         out = str(tmp_path / "out")
-        if command == "simulate":
-            argv = ["simulate", "--n", "50", *flags, "--out", out]
+        if command in ("simulate", "benchmark"):
+            argv = [command, "--n", "50", *flags, "--out", out]
         else:
             path = tmp_path / "d.csv"
             _write_csv(path, ["px", "py", "y", "x1"],
                        [[0, 0, 1.0, 2.0], [1, 1, 0.3, 0.5], [2, 0, 1.0, 1.0],
                         [0, 2, 0.5, 0.1], [1, 2, 0.2, 0.9]])
-            argv = [command, "--input", str(path), "--y", "y", "--x", "x1", *flags,
-                    "--out", out]
+            columns = [] if command == "eigen" else ["--y", "y", "--x", "x1"]
+            argv = [command, "--input", str(path), *columns, *flags, "--out", out]
         assert main(argv) == 2
         assert named in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))

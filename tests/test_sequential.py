@@ -3,11 +3,18 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from fastsvc.errors import InsufficientData, SingularInnerMatrix
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
 from fastsvc.model import FitOptions, fit
-from fastsvc.sequential import build_cache, fast_loglik, fit_sequential, optimize_k
+from fastsvc.sequential import (
+    RESTARTS,
+    build_cache,
+    fast_loglik,
+    fit_sequential,
+    optimize_k,
+)
 from fastsvc.simulation import SimConfig, gen_large
 
 from oracles import (
@@ -250,6 +257,38 @@ class TestOptimizeK:
         monkeypatch.setattr(sequential, "fast_loglik", failing_at_incoming)
         rho_f, _, ll_f, _ = optimize_k(cache, params, 1, sweep=1)
         assert rho_f > 0.0 and ll_f >= ll - 1e-6
+
+    def test_start_policy(self, monkeypatch):
+        # sweep 0 searches from the restarts only, a later sweep from the
+        # incoming pair only, and a later sweep whose incoming evaluation
+        # fails from the restarts again
+        import fastsvc.sequential as sequential
+
+        moments, params = _instance(30, k=3)
+        cache = build_cache(moments, params, 1)
+        incoming = (float(params.rho[1]), float(params.alpha[1]))
+        starts = []
+
+        def recorded(fun, x0, **kwargs):
+            starts.append(tuple(x0))
+            return minimize(fun, x0, **kwargs)
+
+        def failing_at_incoming(cache, rho, alpha):
+            if (rho, alpha) == incoming:
+                raise SingularInnerMatrix("injected")
+            return fast_loglik(cache, rho, alpha)
+
+        def starts_of(sweep):
+            starts.clear()
+            optimize_k(cache, params, 1, sweep=sweep)
+            return starts
+
+        monkeypatch.setattr(sequential, "minimize", recorded)
+        restarts = [(np.log(rho), alpha) for rho, alpha in RESTARTS]
+        assert starts_of(0) == restarts
+        assert starts_of(1) == [(np.log(incoming[0]), incoming[1])]
+        monkeypatch.setattr(sequential, "fast_loglik", failing_at_incoming)
+        assert starts_of(1) == restarts
 
     def test_budget_validated(self):
         moments, params = _instance(11, k=2)
