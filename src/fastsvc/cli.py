@@ -218,7 +218,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
-    n_values = tuple(int(s) for s in args.n.split(",") if s.strip())
+    n_values = _checked(lambda: tuple(int(s) for s in args.n.split(",") if s.strip()))
     options = _checked(FitOptions, basis="nystrom", seed=args.seed)
     spec = _checked(ExperimentSpec, methods=methods, n_values=n_values, k=args.k,
                     reps=args.reps, seed=args.seed, generator=args.generator,

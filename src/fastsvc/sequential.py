@@ -339,6 +339,7 @@ def fit_sequential(moments: CompressedMoments,
         for a in range(kv):
             if trace.collapsed[a]:
                 continue
+            cache = None  # free the last step's cache first, or both add to the peak
             cache = build_cache(moments, params, a)
             rho, alpha, ll_a, n_eval = optimize_k(cache, params, a, budget=budget,
                                                   sweep=sweep, failures=trace.failed)

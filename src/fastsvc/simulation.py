@@ -212,6 +212,12 @@ class ExperimentSpec:
     fit_options: FitOptions = field(default_factory=lambda: FitOptions(basis="nystrom"))
 
     def __post_init__(self):
+        if not self.methods:
+            raise ValueError(f"methods must name at least one method, got {self.methods!r}")
+        if not self.n_values:
+            raise ValueError(f"n_values must hold at least one sample size, got {self.n_values!r}")
+        if self.reps < 1:
+            raise ValueError(f"reps must be positive, got {self.reps}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {', '.join(METHODS)}")

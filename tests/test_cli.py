@@ -191,11 +191,16 @@ class TestInvalidOptions:
         ("eigen", ["--seed", "-1"], "got -1"),
         ("simulate", ["--k", "1", "--seed", "-1"], "got -1"),
         ("benchmark", ["--seed", "-1"], "got -1"),
+        ("benchmark", ["--n", "abc"], "'abc'"),
+        ("benchmark", ["--n", ",,"], "sample size, got ()"),
+        ("benchmark", ["--methods", ""], "method, got ()"),
+        ("benchmark", ["--reps", "0"], "reps must be positive, got 0"),
     ], ids=["fit-knots", "fit-max-eigenpairs", "gwr-bmin-above-bmax", "gwr-bandwidth",
             "gwr-bmin-above-data-default", "simulate-k", "eigen-range-zero",
             "eigen-range-negative", "eigen-range-nan", "eigen-range-inf",
             "gwr-grid-points", "fit-seed", "eigen-seed", "simulate-seed",
-            "benchmark-seed"])
+            "benchmark-seed", "benchmark-n-not-a-number", "benchmark-n-empty",
+            "benchmark-methods-empty", "benchmark-reps-zero"])
     def test_exit_2_naming_the_value(self, tmp_path, capsys, command, flags, named):
         out = str(tmp_path / "out")
         if command in ("simulate", "benchmark"):
@@ -301,10 +306,3 @@ class TestBenchmark:
         assert rc == 2
         assert "n=1, k=2" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_empty_methods(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        rc = main(["benchmark", "--methods", "", "--n", "100", "--k", "2",
-                   "--reps", "1", "--out", str(out)])
-        assert rc == 0
-        assert len(out.read_text().splitlines()) == 1

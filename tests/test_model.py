@@ -12,7 +12,7 @@ from fastsvc.model import (
     fit,
     reconstruct_svc,
 )
-from fastsvc.simulation import SimConfig, gen_small
+from fastsvc.simulation import SimConfig, gen_large, gen_small
 
 from oracles import random_instance
 
@@ -120,6 +120,24 @@ class TestFit:
                             svc_flags=np.ones(3, bool))
         with pytest.raises(InsufficientData):
             fit(ds)
+
+    @pytest.mark.parametrize("basis", ["exact", "nystrom"])
+    def test_no_numpy_linalg_call(self, monkeypatch, basis):
+        # numpy and scipy load separate OpenBLAS builds, each with its own
+        # thread pool; a fit runs on scipy's alone (numpy's @ is outside
+        # this check's reach)
+        inst = gen_large(SimConfig(n=400, k=2, seed=1, generator="large", knot_count=400))
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"numpy.linalg.{name} called during a fit")
+            return call
+
+        for name in ("eigh", "eigvalsh", "svd", "cholesky", "solve", "inv", "qr",
+                     "lstsq", "slogdet", "matrix_rank"):
+            monkeypatch.setattr(np.linalg, name, forbidden(name))
+        res = fit(inst.dataset, FitOptions(basis=basis, seed=0))
+        assert res.basis.kind == basis and np.isfinite(res.loglik)
 
     def test_stage_timings_recorded(self):
         inst = gen_small(SimConfig(n=250, k=2, seed=7))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -149,12 +151,18 @@ class TestMetrics:
 
 
 class TestRunExperiment:
-    def test_empty_methods_empty_report(self, tmp_path):
-        rows = run_experiment(ExperimentSpec(methods=(), n_values=(100,), k=2,
-                                             reps=2, generator="small"))
-        assert rows == []
+    @pytest.mark.parametrize("field,value,named", [
+        ("methods", (), "method, got ()"),
+        ("n_values", (), "sample size, got ()"),
+        ("reps", 0, "got 0"),
+    ], ids=["methods", "n_values", "reps"])
+    def test_empty_campaign_rejected_at_construction(self, field, value, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ExperimentSpec(**{field: value})
+
+    def test_empty_report_is_the_header(self, tmp_path):
         out = tmp_path / "report.csv"
-        write_report(rows, out)
+        write_report([], out)
         assert out.read_text().strip() == ",".join(REPORT_COLUMNS)
 
     def test_unknown_method_rejected_at_construction(self):
