@@ -177,6 +177,7 @@ def cmd_fit(args) -> int:
         "evaluations": sum(map(sum, result.trace.eval_counts)),
         "converged": result.trace.converged,
         "failed_evaluations": result.trace.failed,
+        "at_bound": {varying[a]: ends for a, ends in result.trace.at_bound.items()},
         "timings_s": {**result.timings, "total": total},
     }
     knots = result.basis.knots

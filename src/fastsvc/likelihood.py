@@ -14,9 +14,11 @@ the squared residual norm and of all squared random-effect norms.
 ``compressed_restricted_loglik`` works purely off precompressed inner
 products, so its cost is independent of N. There ``d`` is the penalized
 residual sum of squares ``d = y'y - z'(s o W'y)`` at the solve ``z`` of the
-shrinkage-scaled system (as in lme4, Bates et al., JSS 2015).
-``_penalized_solve`` forms that system for this route and for the per-target
-cache of ``sequential``.
+shrinkage-scaled system ``P z = s o W'y``; with ``P = F F'`` it is
+``y'y - |F^{-1}(s o W'y)|^2``, read off one forward substitution (the
+penalized least-squares form of lme4, Bates et al., JSS 2015).
+``_penalized_solve`` forms, factors and forward-substitutes that system for
+this route and for the per-target cache of ``sequential``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .compression import CompressedMoments, SvcDesign
 from .errors import (
@@ -90,11 +92,16 @@ class ShrinkageParams:
 
 @dataclass(frozen=True)
 class LikelihoodResult:
-    """Restricted log-likelihood value and the coefficient solve behind it."""
+    """Restricted log-likelihood value and the coefficient solve behind it.
+
+    A coordinate step's ``fast_loglik`` returns the likelihood, the residual
+    term and the gradient, not the coefficients: the search reads none of
+    them, and the fit takes its coefficients from the compressed route."""
 
     loglik: float
-    b_hat: np.ndarray   # (K,) fixed effects
-    u_hat: np.ndarray   # (K_v, L) standardized random effects per varying coef
+    b_hat: np.ndarray | None  # (K,) fixed effects; None on a coordinate step
+    u_hat: np.ndarray | None  # (K_v, L) standardized random effects per
+                              # varying coef; None on a coordinate step
     d_theta: float      # squared residual norm + sum of squared u norms
     sigma2_hat: float   # profiled residual variance d / (N - K)
     grad: np.ndarray | None = None  # d loglik / d(log rho, alpha) of a
@@ -211,25 +218,59 @@ def direct_restricted_loglik(design: SvcDesign, params: ShrinkageParams) -> Like
     )
 
 
-def _penalized_solve(moments: CompressedMoments, s: np.ndarray,
-                     penalized: np.ndarray, error: type):
-    """Factor and solve the scaled, penalized Gram system.
+def _penalized_solve(moments: CompressedMoments, params: ShrinkageParams,
+                     error: type, target: int | None = None):
+    """Factor the scaled, penalized Gram system and forward-substitute its moments.
 
-    Forms ``P = diag(s) gram diag(s)`` plus 1 on the ``penalized`` diagonals,
-    scaling one copy of the Gram in place, and solves ``P z = s o W'y``.
-    Returns ``(factor, ln|P|, z, d)`` with ``d = y'y - z'(s o W'y)``
-    accumulated in extended precision and not yet clamped; ``error`` is
-    raised when ``P`` is singular.
+    The system is ``P = diag(s) gram diag(s)`` plus 1 on every random-effect
+    diagonal, with ``s = scale_vector(moments, params)``. A ``target``'s
+    block is left unscaled and unpenalized (the target-free system of a
+    coordinate step) and is laid out last. Any other random-effect block
+    whose scale is identically zero (rho = 0) is an identity block of ``P``
+    with no coupling and no moment, so it is left out: its ln|P| term and its
+    solve are 0. The kept Gram ranges are copied pairwise into one
+    Fortran-ordered matrix, which is factored in place as ``P = F F'``, and
+    the moments are forward-substituted once, ``y_f = F^{-1} (s o W'y)``.
+
+    Returns ``(F, ln|P|, y_f, d, kept)``: ``F`` is lower triangular (its
+    other triangle holds entries of ``P``), ``d = y'y - |y_f|^2`` is summed
+    in extended precision and not yet clamped, and ``kept`` lists the Gram
+    columns in the system's order. ``error`` is raised when ``P`` is
+    singular.
     """
-    P = moments.gram * s
-    P *= s[:, None]
+    k, L = moments.n_cov, moments.n_basis
+    s = scale_vector(moments, params)
+    blocks = [moments.block(a) for a in range(moments.k_varying)
+              if a != target and s[moments.block(a)].any()]
+    if target is not None:
+        blocks.append(moments.block(target))
+        s[blocks[-1]] = 1.0
+    ranges = [slice(0, k)]
+    for block in blocks:  # merge the ranges that are adjacent in the Gram
+        if ranges[-1].stop == block.start:
+            ranges[-1] = slice(ranges[-1].start, block.stop)
+        else:
+            ranges.append(block)
+    kept = np.concatenate([np.arange(r.start, r.stop) for r in ranges])
+    sk = s[kept]
+    size = kept.shape[0]
+
+    # one multiply per pair of ranges: a fancy-index gather of the kept
+    # rows and columns cost as much as the pruning saves at m = 1600
+    P = np.empty((size, size), order="F")
+    stops = np.cumsum([r.stop - r.start for r in ranges])
+    spans = [slice(hi - (r.stop - r.start), hi) for r, hi in zip(ranges, stops)]
+    for rows, out_rows in zip(ranges, spans):
+        for cols, out_cols in zip(ranges, spans):
+            np.multiply(moments.gram[rows, cols], sk[out_cols], out=P[out_rows, out_cols])
+    P *= sk[:, None]
+    penalized = np.arange(k, size - (0 if target is None else L))
     P[penalized, penalized] += 1.0
-    rhs = s * moments.gy
-    factor, logdet = spd_factor(P, error=error)
-    z = sla.cho_solve(factor, rhs)
-    residual = float(np.longdouble(moments.yty)
-                     - z.astype(np.longdouble) @ rhs.astype(np.longdouble))
-    return factor, logdet, z, residual
+    (F, _), logdet = spd_factor(P, error=error)
+    y_f = blas.dtrsv(F, sk * moments.gy[kept], lower=1)
+    y_ext = y_f.astype(np.longdouble)
+    residual = float(np.longdouble(moments.yty) - y_ext @ y_ext)
+    return F, logdet, y_f, residual, kept
 
 
 def compressed_restricted_loglik(moments: CompressedMoments,
@@ -238,18 +279,20 @@ def compressed_restricted_loglik(moments: CompressedMoments,
 
     The penalized matrix is the scaled Gram ``P = diag(s) gram diag(s) + J``
     (J adds 1 to each random-effect diagonal) and the residual term is
-    ``d = y'y - z'(s o W'y)``. That subtraction cancels almost completely
-    near good fits: small negative values are clamped to 0 and grossly
-    negative ones raise.
+    ``d = y'y - z'(s o W'y) = y'y - |y_f|^2`` with ``y_f = F^{-1}(s o W'y)``
+    and ``P = F F'``; the solve ``z = F'^{-1} y_f`` is one back substitution,
+    0 in the blocks of collapsed coefficients. The subtraction cancels
+    almost completely near good fits: small negative values are clamped to 0
+    and grossly negative ones raise.
     """
     n, k = moments.n_obs, moments.n_cov
     _check_counts(n, k)
     if params.k_varying != moments.k_varying:
         raise ValueError("params length must match the number of varying coefficients")
 
-    s = scale_vector(moments, params)
-    _, logdet, z, residual = _penalized_solve(
-        moments, s, np.arange(k, moments.size), SingularP)
+    F, logdet, y_f, residual, kept = _penalized_solve(moments, params, SingularP)
+    z = np.zeros(moments.size)
+    z[kept] = blas.dtrsv(F, y_f, lower=1, trans=1)
     d_theta = _clamp_cancelled(residual, moments.yty, "compressed residual term")
     loglik = _assemble_loglik(logdet, d_theta, n, k, moments.yty)
     return LikelihoodResult(

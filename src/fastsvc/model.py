@@ -136,7 +136,8 @@ class SvcFit:
     beta_surfaces: np.ndarray  # (N, K)
     svc_flags: np.ndarray
     trace: FitTrace
-    timings: dict              # seconds per stage: basis / compress / estimate
+    timings: dict              # seconds per stage: basis / compress / estimate,
+                               # and estimate's cache builds / searches
 
     @property
     def collapsed(self) -> np.ndarray:
@@ -218,6 +219,8 @@ def fit(dataset: SpatialDataset, options: FitOptions | None = None) -> SvcFit:
         moments, tol=options.tol, max_sweeps=options.max_sweeps,
         budget=options.eval_budget)
     timings["estimate"] = time.perf_counter() - t0
+    timings["cache"] = trace.cache_s
+    timings["search"] = trace.search_s
 
     beta = reconstruct_svc(basis, final.b_hat, params, final.u_hat, dataset.svc_flags)
     return SvcFit(

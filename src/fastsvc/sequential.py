@@ -14,26 +14,37 @@ shrinkage scale vector with ones on the fixed block and on the target block
 
 where ``J_off`` adds 1 to every random-effect diagonal except the target's,
 so ``R`` is the penalized matrix of the model without the target's random
-effect, bordered by the target's raw Gram block (no +I). With ``r = R^{-1} m``
-the cached moment solve, ``T = R^{-1}[t, t]`` and ``V`` the target shrinkage
-diagonal, the penalized matrix is ``P = D R D + E_t E_t'`` with ``D`` the
-identity except ``V`` on the target block and ``E_t`` the target's identity
-columns. A rank-L Woodbury update and the block-determinant formula
-|A||D - B'A^{-1}B| give
+effect, bordered by the target's raw Gram block (no +I). With ``V`` the
+target shrinkage diagonal and ``E_t`` the target's identity columns, the
+penalized matrix is ``P = D R D + E_t E_t'`` with ``D`` the identity except
+``V`` on the target block. With ``T = R^{-1}[t, t]`` and ``r_t`` the target
+rows of ``R^{-1} m``, a rank-L Woodbury update and the block-determinant
+formula |A||D - B'A^{-1}B| give
 
-    coefficient solve:  w = (V^2 + T)^{-1} r_t,
-                        z   = r - R^{-1}[:, t] w,   then z_t = V w
     log-determinant:    ln|P| = ln|R| + ln|V^2 + T|
-    residual term:      d = (y'y - r'm) + r_t'w
+    residual term:      d = (y'y - m'R^{-1}m) + r_t'w,   w = (V^2 + T)^{-1} r_t
 
 The last line is ``y'y - z'(s o W'y)`` at the solve, the identity the
-compressed route uses. Its first part, ``y'y - r'm``, is the same identity
-for the target-free system, so ``likelihood._penalized_solve`` builds,
-factors and solves ``R`` as it does the compressed route's ``P``. That part
-cancels almost completely near good fits but does not depend on the
-target's (rho, alpha), so it is accumulated once per cache in extended
-precision; ``r_t'w`` is a nonnegative quadratic form. Every expression stays finite as any rho
-approaches 0, so collapsed coefficients need no special casing.
+compressed route uses; the solve itself (``z_t = V w``, off the target
+``z = R^{-1}(m - E_t w)``) is not formed here, because the search reads only
+the likelihood and the fit takes its coefficients from the compressed route.
+
+Cache. ``likelihood._penalized_solve`` factors ``R = F F'`` and
+forward-substitutes ``y_f = F^{-1} m`` once, as it does the compressed
+route's ``P``, so the first part of ``d`` is ``y'y - |y_f|^2``. It cancels
+almost completely near good fits but does not depend on the target's
+(rho, alpha), so it is summed once per cache in extended precision;
+``r_t'w`` is a nonnegative quadratic form. With ``X_t = F^{-1} E_t``,
+``T = X_t'X_t`` and ``r_t = X_t'y_f``. Forward substitution on identity
+columns leaves ``X_t`` zero above the target's first row, and ``R`` lays the
+target block out last, so ``X_t`` is zero except in its last L rows, where
+it is ``F_tt^{-1}``, the inverse of the trailing L x L block of ``F``:
+``T = (F_tt F_tt')^{-1}`` and ``r_t = F_tt'^{-1} y_f[t]`` cost O(L^3) once ``F``
+is there, and no cache array has m rows. An off-target coefficient at
+rho = 0 is an identity block of ``R`` with no coupling and no moment, so
+``_penalized_solve`` leaves its block out and a step factors a smaller
+matrix. Every expression stays finite as any rho approaches 0, so
+collapsed coefficients need no other special casing.
 
 Gradient. With ``A = V^2 + T`` only ``V = rho diag(lambda ** (alpha / 2))``
 depends on the target's parameters, and ``d ln|A| / d v_l = 2 v_l [A^{-1}]_ll``,
@@ -52,11 +63,12 @@ collapse against the exact rho = 0 likelihood, not by where its search ends.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.optimize import minimize
 
 from .compression import CompressedMoments
@@ -68,7 +80,6 @@ from .likelihood import (
     _check_counts,
     _clamp_cancelled,
     _penalized_solve,
-    scale_vector,
     spd_factor,
     v_diag,
 )
@@ -91,6 +102,16 @@ GRAD_GTOL = 1e-5
 #: than this many nats collapses
 COLLAPSE_MARGIN = 1e-6
 
+#: name, coordinate (0 = log rho, 1 = alpha) and value of each end of the box
+BOX_ENDS = (("rho_min", 0, np.log(RHO_BOUNDS[0])), ("rho_max", 0, np.log(RHO_BOUNDS[1])),
+            ("alpha_min", 1, ALPHA_BOUNDS[0]), ("alpha_max", 1, ALPHA_BOUNDS[1]))
+
+#: distance in (log rho, alpha) within which a final pair lies on a box end;
+#: rounding only, the search projects its points onto the box
+BOUND_ATOL = 1e-9
+
+_log = logging.getLogger("fastsvc")
+
 
 @dataclass(frozen=True)
 class PerKCache:
@@ -98,15 +119,16 @@ class PerKCache:
 
     Nothing here depends on the target coefficient's (rho, alpha); rebuilding
     with different off-target parameters changes it, varying the target's
-    must not. Vectors and rows follow the Gram's column order.
+    must not. It holds what ``fast_loglik`` reads and nothing with m rows:
+    ``T = X_t'X_t`` and ``r_t = X_t'y_f`` from the forward substitution
+    ``X_t = F^{-1} E_t`` of the target's identity columns (zero above the
+    target's rows, which come last), ``ln|R|`` and the target-free residual.
     """
 
-    block: slice              # the target's columns in the Gram
-    moment_solve: np.ndarray  # r = R^{-1} m, (m,)
-    rinv_target: np.ndarray   # R^{-1}[:, block], (m, L)
-    t_block: np.ndarray       # R^{-1}[block, block] (symmetric)
+    t_block: np.ndarray       # T = R^{-1}[t, t], (L, L) symmetric
+    r_t: np.ndarray           # target rows of R^{-1} m, (L,)
     logdet_r: float           # ln|R|
-    residual: float           # y'y - r'm, the target-free part of d
+    residual: float           # y'y - |y_f|^2, the target-free part of d
     values: np.ndarray        # basis eigenvalues (L,)
     yty: float
     n_obs: int
@@ -117,8 +139,9 @@ def build_cache(moments: CompressedMoments, params: ShrinkageParams,
                 target: int) -> PerKCache:
     """Factor the off-target system once for coordinate step ``target``.
 
-    ``target`` indexes the varying-coefficient list. Cost is cubic in
-    ``K + K_v L``; every subsequent target evaluation is O(L^3).
+    ``target`` indexes the varying-coefficient list. Cost is cubic in the
+    kept size ``K + K_v L`` (less L for each collapsed off-target
+    coefficient); every subsequent target evaluation is O(L^3).
     """
     n, k = moments.n_obs, moments.n_cov
     _check_counts(n, k)
@@ -127,23 +150,21 @@ def build_cache(moments: CompressedMoments, params: ShrinkageParams,
         raise ValueError("params length must match the number of varying coefficients")
     if not 0 <= target < kv:
         raise ValueError(f"target {target} outside [0, {kv})")
-    block = moments.block(target)
 
-    s = scale_vector(moments, params)
-    s[block] = 1.0
-    off_target = np.r_[k:block.start, block.stop:moments.size]
-    factor, logdet_r, moment_solve, residual = _penalized_solve(
-        moments, s, off_target, SingularBlock)
-    # the target's identity columns, without an m x m identity
-    target_cols = np.eye(moments.size, moments.n_basis, -block.start)
-    rinv_target = sla.cho_solve(factor, target_cols)
-    t_block = 0.5 * (rinv_target[block] + rinv_target[block].T)
+    F, logdet_r, y_f, residual, _ = _penalized_solve(moments, params, SingularBlock,
+                                                     target=target)
+    L = moments.n_basis
+    # the target's rows come last: X_t = F^{-1} E_t is F_tt^{-1} there and
+    # zero above, so T and r_t come from the trailing block alone
+    f_tt = np.asfortranarray(F[-L:, -L:])
+    r_t = blas.dtrsv(f_tt, y_f[-L:], lower=1, trans=1)
+    inverse, _ = lapack.dpotri(f_tt, lower=1, overwrite_c=1)
+    t_block = np.tril(inverse)
+    t_block += np.tril(inverse, -1).T
 
     return PerKCache(
-        block=block,
-        moment_solve=moment_solve,
-        rinv_target=rinv_target,
         t_block=t_block,
+        r_t=r_t,
         logdet_r=logdet_r,
         residual=residual,
         values=moments.values,
@@ -156,22 +177,21 @@ def build_cache(moments: CompressedMoments, params: ShrinkageParams,
 def fast_loglik(cache: PerKCache, rho: float, alpha: float) -> LikelihoodResult:
     """Restricted log-likelihood at target (rho, alpha), off-target fixed.
 
-    One L x L Cholesky per call serves the Woodbury-updated coefficient
-    solve, the block-determinant expansion of ln|P| and the gradient of the
-    loglik in (log rho, alpha), returned as ``grad`` (its triangular inverse
-    costs about as much as the rest of the call).
+    One L x L Cholesky per call serves the Woodbury-updated residual term,
+    the block-determinant expansion of ln|P| and the gradient of the loglik
+    in (log rho, alpha), returned as ``grad`` (its triangular inverse costs
+    about as much as the rest of the call). ``b_hat`` and ``u_hat`` are None:
+    the search reads only the likelihood and its gradient.
     """
-    k, block = cache.n_cov, cache.block
+    k = cache.n_cov
     vt = v_diag(rho, alpha, cache.values)
 
-    inner = cache.t_block + np.diag(vt ** 2)
+    inner = cache.t_block.copy()
+    inner.flat[:: vt.shape[0] + 1] += vt ** 2
     factor, logdet_inner = spd_factor(inner, error=SingularInnerMatrix)
-    r_t = cache.moment_solve[block]
-    w = sla.cho_solve(factor, r_t)
+    w, _ = lapack.dpotrs(factor[0], cache.r_t, lower=1)
 
-    z = cache.moment_solve - cache.rinv_target @ w
-    z[block] = vt * w
-    d_theta = _clamp_cancelled(cache.residual + float(r_t @ w), cache.yty,
+    d_theta = _clamp_cancelled(cache.residual + float(cache.r_t @ w), cache.yty,
                                "residual term")
     nmk = cache.n_obs - k
     loglik = _assemble_loglik(cache.logdet_r + logdet_inner, d_theta,
@@ -183,8 +203,8 @@ def fast_loglik(cache: PerKCache, rho: float, alpha: float) -> LikelihoodResult:
                    - np.einsum("ij,ij->j", factor_inv, factor_inv))
     return LikelihoodResult(
         loglik=loglik,
-        b_hat=z[:k],
-        u_hat=z[k:].reshape(-1, vt.shape[0]),
+        b_hat=None,
+        u_hat=None,
         d_theta=d_theta,
         sigma2_hat=d_theta / nmk,
         grad=np.array([g.sum(), 0.5 * (g @ np.log(cache.values))]),
@@ -295,6 +315,10 @@ class FitTrace:
     collapsed: np.ndarray | None = None
     converged: bool = False
     reason: str = ""
+    at_bound: dict = field(default_factory=dict)  # coefficient -> names of the
+                                                  # box ends its final pair is on
+    cache_s: float = 0.0   # summed build_cache wall time
+    search_s: float = 0.0  # summed optimize_k wall time
 
     @property
     def n_sweeps(self) -> int:
@@ -315,8 +339,12 @@ def fit_sequential(moments: CompressedMoments,
     ``optimize_k`` returns rho = 0 (its best loglik is within
     ``COLLAPSE_MARGIN`` of the collapsed one) is a constant from then on and
     is skipped in later sweeps. Failed evaluations are
-    summed by error class in ``FitTrace.failed``. The returned result is
-    recomputed from the compressed likelihood at the final parameters.
+    summed by error class in ``FitTrace.failed``, and the wall time of the
+    cache builds and of the searches in ``cache_s`` and ``search_s``. A
+    non-collapsed coefficient that ends on an end of the search box is
+    listed in ``FitTrace.at_bound`` and named in one warning on the
+    ``fastsvc`` logger. The returned result is recomputed from the
+    compressed likelihood at the final parameters.
 
     Returns
     -------
@@ -339,10 +367,13 @@ def fit_sequential(moments: CompressedMoments,
         for a in range(kv):
             if trace.collapsed[a]:
                 continue
-            cache = None  # free the last step's cache first, or both add to the peak
+            t0 = time.perf_counter()
             cache = build_cache(moments, params, a)
+            t1 = time.perf_counter()
             rho, alpha, ll_a, n_eval = optimize_k(cache, params, a, budget=budget,
                                                   sweep=sweep, failures=trace.failed)
+            trace.cache_s += t1 - t0
+            trace.search_s += time.perf_counter() - t1
             counts.append(n_eval)
             if np.isfinite(ll_a):
                 ll = ll_a
@@ -362,5 +393,27 @@ def fit_sequential(moments: CompressedMoments,
     else:
         trace.reason = f"max_sweeps={max_sweeps} reached"
 
+    trace.at_bound = bounds_reached(params, trace.collapsed)
+    if trace.at_bound:
+        _log.warning("the search box binds: %s", "; ".join(
+            f"varying coefficient {a} ends on {', '.join(ends)}"
+            for a, ends in trace.at_bound.items()))
     final = compressed_restricted_loglik(moments, params)
     return params, final, trace
+
+
+def bounds_reached(params: ShrinkageParams, collapsed: np.ndarray) -> dict:
+    """Map each non-collapsed coefficient whose rho or alpha lies on an end
+    of ``RHO_BOUNDS`` or ``ALPHA_BOUNDS`` to the names of those ends.
+
+    rho is compared in log space, where the search runs and whose box end
+    it returns as ``exp(log(1e-6)) = 1.0000000000000004e-06``; an end
+    within ``BOUND_ATOL`` counts as reached.
+    """
+    reached = {}
+    for a in np.flatnonzero(~collapsed):
+        x = (np.log(params.rho[a]), params.alpha[a])
+        ends = [name for name, i, end in BOX_ENDS if abs(x[i] - end) <= BOUND_ATOL]
+        if ends:
+            reached[int(a)] = ends
+    return reached

@@ -281,7 +281,8 @@ def run_experiment(spec: ExperimentSpec):
                             "t_basis_s": result.timings["basis"],
                             "t_compress_s": result.timings["compress"],
                             "t_estimate_s": result.timings["estimate"],
-                            "t_total_s": sum(result.timings.values()),
+                            "t_total_s": sum(result.timings[stage] for stage in
+                                             ("basis", "compress", "estimate")),
                         }
                         surfaces = result.beta_surfaces
                     else:  # gwr

@@ -257,6 +257,37 @@ def bordered_q(moments, params, target):
     return Q, d
 
 
+def target_free_system(moments, params, target):
+    """Dense target-free system ``R`` of the coordinate step ``target`` and
+    its moments ``m``, in the Gram's column order: the penalized system with
+    the target's scale 1 and no penalty on its block. Unlike ``bordered_q``
+    it allows an off-target rho of 0."""
+    k, L = moments.n_cov, moments.n_basis
+    t = slice(k + target * L, k + (target + 1) * L)
+    R, m = dense_penalized_system(moments, params.with_entry(target, 1.0, 0.0))
+    R[t, t] -= np.eye(L)
+    return R, m
+
+
+def woodbury_coefficients(moments, params, target, cache, rho, alpha):
+    """Stacked coefficient solve ``z = (b, u)`` of the penalized system with
+    coefficient ``target`` at (rho, alpha), from a coordinate step's cache.
+
+    ``w = (V^2 + T)^{-1} r_t`` from the cache's ``t_block`` and ``r_t``,
+    ``z_t = V w``, and off the target ``z = R^{-1}(m - E_t w)`` with the
+    dense ``target_free_system``.
+    """
+    k, L = moments.n_cov, moments.n_basis
+    t = slice(k + target * L, k + (target + 1) * L)
+    R, m = target_free_system(moments, params, target)
+    vt = v_diag(rho, alpha, moments.values)
+    w = np.linalg.solve(np.diag(vt ** 2) + cache.t_block, cache.r_t)
+    m[t] -= w
+    z = np.linalg.solve(R, m)
+    z[t] = vt * w
+    return z
+
+
 def fd_gradient(moments, params, target, rho, alpha, h=1e-5):
     """Central differences of the compressed restricted loglik in
     (log rho, alpha) of coefficient ``target``, the others held at ``params``."""

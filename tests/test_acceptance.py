@@ -23,7 +23,13 @@ from fastsvc.model import FitOptions, fit, reconstruct_svc
 from fastsvc.sequential import build_cache, fast_loglik, fit_sequential
 from fastsvc.simulation import SimConfig, gen_large, gen_small, rmse
 
-from oracles import dense_penalized_system, joint_optimize, random_instance, random_params
+from oracles import (
+    dense_penalized_system,
+    joint_optimize,
+    random_instance,
+    random_params,
+    woodbury_coefficients,
+)
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -38,10 +44,11 @@ def _rel(a: float, b: float) -> float:
 
 
 def test_criterion_1_oracle_chain():
-    """Direct, compressed, and fast-path likelihoods agree to 1e-8."""
+    """Direct, compressed, and fast-path likelihoods agree to 1e-8, and so do
+    the coefficients and the fast route's residual term."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    worst_ll, worst_coef = 0.0, 0.0
+    worst_ll, worst_coef, worst_d = 0.0, 0.0, 0.0
     for trial in range(50):
         n = int(rng.integers(40, 121))
         k = int(rng.choice([2, 3, 4]))
@@ -58,22 +65,29 @@ def test_criterion_1_oracle_chain():
         for t in range(moments.k_varying):
             cache = build_cache(moments, params, t)
             f = fast_loglik(cache, params.rho[t], params.alpha[t])
+            # the fast route returns no coefficients: the oracle forms them
+            # from the cache's t_block and r_t by the Woodbury update
+            z = woodbury_coefficients(moments, params, t, cache,
+                                      params.rho[t], params.alpha[t])
             worst_ll = max(worst_ll, _rel(d.loglik, f.loglik))
+            worst_d = max(worst_d, _rel(d.d_theta, f.d_theta))
             worst_coef = max(worst_coef,
-                             np.abs(f.b_hat - d.b_hat).max(),
-                             np.abs(f.u_hat - d.u_hat).max())
+                             np.abs(z[:k] - d.b_hat).max(),
+                             np.abs(z[k:] - d.u_hat.ravel()).max())
     elapsed = time.perf_counter() - t0
-    ok = worst_ll <= 1e-8 and worst_coef <= 1e-8
+    ok = worst_ll <= 1e-8 and worst_coef <= 1e-8 and worst_d <= 1e-8
     _report(1, ok, f"50 instances, worst loglik rel diff {worst_ll:.2e}, "
-                   f"worst coefficient diff {worst_coef:.2e}", elapsed, 60)
+                   f"worst coefficient diff {worst_coef:.2e}, "
+                   f"worst fast residual term rel diff {worst_d:.2e}", elapsed, 60)
 
 
 def test_criterion_2_block_identities():
     """Woodbury solve matches dense inversion (1e-10); block determinant
-    matches dense factorization (1e-8)."""
+    matches dense factorization (1e-8); the fast residual term matches the
+    dense one (1e-8 relative)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    worst_solve, worst_logdet = 0.0, 0.0
+    worst_solve, worst_logdet, worst_d = 0.0, 0.0, 0.0
     for trial in range(50):
         n = int(rng.integers(40, 121))
         k = int(rng.choice([2, 3, 4]))
@@ -87,16 +101,19 @@ def test_criterion_2_block_identities():
         t = int(rng.integers(moments.k_varying))
         cache = build_cache(moments, params, t)
         res = fast_loglik(cache, params.rho[t], params.alpha[t])
-        stacked = np.concatenate([res.b_hat, res.u_hat.ravel()])
+        stacked = woodbury_coefficients(moments, params, t, cache,
+                                        params.rho[t], params.alpha[t])
         worst_solve = max(worst_solve, np.abs(stacked - z).max())
+        worst_d = max(worst_d, _rel(moments.yty - z @ rhs, res.d_theta))
         vt = params.rho[t] * moments.values ** (params.alpha[t] / 2.0)
         fast_logdet = cache.logdet_r + np.linalg.slogdet(
             cache.t_block + np.diag(vt ** 2))[1]
         worst_logdet = max(worst_logdet, abs(fast_logdet - logdet))
     elapsed = time.perf_counter() - t0
-    ok = worst_solve <= 1e-10 and worst_logdet <= 1e-8
+    ok = worst_solve <= 1e-10 and worst_logdet <= 1e-8 and worst_d <= 1e-8
     _report(2, ok, f"50 instances, worst solve diff {worst_solve:.2e}, "
-                   f"worst logdet diff {worst_logdet:.2e}", elapsed, 60)
+                   f"worst logdet diff {worst_logdet:.2e}, "
+                   f"worst residual term rel diff {worst_d:.2e}", elapsed, 60)
 
 
 def _timing_moments(n: int, seed: int):
@@ -158,7 +175,7 @@ def test_criterion_4_stage_scaling():
         inst = gen_large(SimConfig(n=n, k=4, seed=1, generator="large",
                                    knot_count=500))
         res = fit(inst.dataset, options)
-        totals[n] = sum(res.timings.values())
+        totals[n] = sum(res.timings[s] for s in ("basis", "compress", "estimate"))
         stages[n] = res.timings
     total_ratio = totals[50_000] / totals[10_000]
     est_ratio = stages[50_000]["estimate"] / stages[10_000]["estimate"]

@@ -79,6 +79,11 @@ class TestFit:
         assert summary["sigma2"] == pytest.approx(res.sigma2_hat)
         assert summary["failed_evaluations"] == res.trace.failed
         assert summary["evaluations"] == sum(map(sum, res.trace.eval_counts)) > 0
+        names = ["intercept", "x1"]
+        assert summary["at_bound"] == {names[a]: ends
+                                       for a, ends in res.trace.at_bound.items()}
+        assert set(summary["timings_s"]) == {"basis", "compress", "estimate",
+                                             "cache", "search", "total"}
 
     def test_svc_default_all_varying(self, sim_prefix, tmp_path):
         out = tmp_path / "fit2"

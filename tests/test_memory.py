@@ -1,6 +1,7 @@
 """A fit streams its Nystrom basis: compression holds one chunk buffer, one
 chunk of basis rows and the Gram, and the fit's peak memory grows by much
-less than one basis row per site.
+less than one basis row per site. The coordinate ascent holds one penalized
+system and nothing else with m rows.
 
 Every budget is counted from the shapes of the arrays the code makes.
 """
@@ -12,6 +13,7 @@ import numpy as np
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.eigenbasis import ROW_CHUNK, nystrom_basis
 from fastsvc.model import FitOptions, SpatialDataset, build_basis, fit
+from fastsvc.sequential import fit_sequential
 
 OPTIONS = FitOptions(basis="nystrom", knot_count=100, max_sweeps=1, tol=0.0)
 DOUBLE = 8  # bytes
@@ -47,6 +49,16 @@ def _compress_budget(m, knots, pairs):
     return buffer + rows + 2 * (m + 1) ** 2 * DOUBLE
 
 
+def _estimate_budget(m, L):
+    """Bytes the coordinate ascent may hold beyond its moments: one m x m
+    penalized system; six L x L arrays (the last step's cache, the trailing
+    factor block and its inverse, an evaluation's inner matrix and its
+    inverse factor); 16 m-vectors; and numpy's ufunc buffers, up to
+    ``getbufsize`` elements for each of three operands, which the strided
+    gather of the Gram fills."""
+    return (m * m + 6 * L * L + 16 * m + 3 * np.getbufsize()) * DOUBLE
+
+
 def _design(ds, vectors, basis):
     return SvcDesign(X=ds.X, y=ds.y, vectors=vectors, values=basis.values,
                      svc_flags=ds.svc_flags)
@@ -80,3 +92,14 @@ def test_fit_peak_does_not_hold_the_basis():
         assert np.array_equal(basis.vectors, reference.vectors)
     # a stored (N, L) basis would add 3000 rows of L doubles
     assert peaks[6000] - peaks[3000] < 3000 * fits[6000].basis.n_pairs * DOUBLE
+
+
+def test_fit_sequential_holds_one_system_and_no_block_of_m_rows():
+    ds = _dataset(3000, k=6)
+    basis = build_basis(ds.coords, FitOptions(basis="nystrom", knot_count=100))
+    moments = compress(_design(ds, basis, basis))
+    m, L = moments.size, moments.n_basis
+    assert m > 6 * L  # an m x L block would not fit in the L x L allowance
+    fit_sequential(moments, tol=0.0, max_sweeps=1)  # first calls import lazily
+    _, peak = _peak(fit_sequential, moments, None, 0.0, 1)
+    assert peak <= _estimate_budget(m, L)

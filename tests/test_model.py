@@ -142,8 +142,11 @@ class TestFit:
     def test_stage_timings_recorded(self):
         inst = gen_small(SimConfig(n=250, k=2, seed=7))
         res = fit(inst.dataset, FitOptions(basis="exact", seed=0))
-        assert set(res.timings) == {"basis", "compress", "estimate"}
+        assert set(res.timings) == {"basis", "compress", "estimate", "cache", "search"}
         assert all(v >= 0 for v in res.timings.values())
+        # the cache builds and the searches are parts of the estimate stage
+        assert res.timings["cache"] > 0 and res.timings["search"] > 0
+        assert res.timings["cache"] + res.timings["search"] <= res.timings["estimate"]
 
 
 class TestBuildBasis:

@@ -9,7 +9,10 @@ from fastsvc.errors import InsufficientData, SingularInnerMatrix
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
 from fastsvc.model import FitOptions, fit
 from fastsvc.sequential import (
+    ALPHA_BOUNDS,
     RESTARTS,
+    RHO_BOUNDS,
+    bounds_reached,
     build_cache,
     fast_loglik,
     fit_sequential,
@@ -24,6 +27,8 @@ from oracles import (
     random_instance,
     random_params,
     simplex_optimize_k,
+    target_free_system,
+    woodbury_coefficients,
 )
 
 
@@ -40,7 +45,7 @@ class TestBuildCache:
         cold = params.with_entry(1, 0.001, 0.2)
         a = build_cache(moments, hot, 1)
         b = build_cache(moments, cold, 1)
-        for name in ("moment_solve", "rinv_target", "t_block"):
+        for name in ("r_t", "t_block"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert a.logdet_r == b.logdet_r
         assert a.residual == b.residual
@@ -63,17 +68,47 @@ class TestBuildCache:
         assert cache.logdet_r + logdet_t == pytest.approx(logdet, rel=1e-10)
 
     def test_q_inverse_blocks_match_dense_inversion(self):
-        # Q^{-1} = D R^{-1} D with D the off-target scaling (1 on the target),
-        # so the target columns of Q^{-1} are rinv_target and t_block, scaled
+        # Q^{-1} = D R^{-1} D with D the off-target scaling (1 on the target)
+        # and m = D W'y, so t_block = Q^{-1}[t, t] and r_t = (Q^{-1} W'y)[t]
         moments, params = _instance(2, k=3, L=6)
         target = 1
         cache = build_cache(moments, params, target)
-        Q, d = bordered_q(moments, params, target)
+        Q, _ = bordered_q(moments, params, target)
         dense = np.linalg.inv(Q)
-        block = cache.block
-        np.testing.assert_allclose(dense[:, block], d[:, None] * cache.rinv_target,
-                                   atol=1e-10)
-        np.testing.assert_allclose(dense[block, block], cache.t_block, atol=1e-10)
+        block = moments.block(target)
+        np.testing.assert_allclose(cache.t_block, dense[block, block], atol=1e-10)
+        np.testing.assert_allclose(cache.r_t, (dense @ moments.gy)[block], atol=1e-10)
+
+    def test_off_target_zero_ratio_drops_its_block(self, monkeypatch):
+        # a collapsed off-target coefficient is an identity block with no
+        # coupling: the cache build factors the system without it
+        import fastsvc.likelihood as likelihood
+
+        moments, params = _instance(8)
+        frozen = params.with_entry(0, 0.0, 1.0)
+        target = 2
+        shapes = []
+        spd_factor = likelihood.spd_factor
+
+        def recorded(P, error):
+            shapes.append(P.shape)
+            return spd_factor(P, error=error)
+
+        monkeypatch.setattr(likelihood, "spd_factor", recorded)
+        cache = build_cache(moments, frozen, target)
+        m, L = moments.size, moments.n_basis
+        assert shapes == [(m - L, m - L)]
+
+        R, rhs = target_free_system(moments, frozen, target)
+        dense = np.linalg.inv(R)
+        block = moments.block(target)
+        np.testing.assert_allclose(cache.t_block, dense[block, block], atol=1e-10)
+        np.testing.assert_allclose(cache.r_t, (dense @ rhs)[block], atol=1e-10)
+        sign, logdet = np.linalg.slogdet(R)
+        assert sign > 0
+        assert cache.logdet_r == pytest.approx(logdet, rel=1e-10)
+        residual = moments.yty - rhs @ np.linalg.solve(R, rhs)
+        assert cache.residual == pytest.approx(residual, rel=1e-10)
 
     def test_insufficient_data_raised_before_any_evaluation(self, monkeypatch):
         import fastsvc.sequential as sequential
@@ -94,22 +129,27 @@ class TestBuildCache:
         big = _instance(3, n=50)[0]  # same layout; N only enters as a scalar
         params = random_params(7, small.k_varying, rho_range=(0.2, 2.0))
         cache = build_cache(small, params, 0)
-        m = small.size
-        assert cache.moment_solve.shape == (m,)
-        assert cache.rinv_target.shape == (m, small.n_basis)
-        assert cache.t_block.shape == (small.n_basis, small.n_basis)
+        L = small.n_basis
+        assert cache.r_t.shape == (L,)
+        assert cache.t_block.shape == (L, L)
+        arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+        assert all(a.shape[0] != small.size for a in arrays)
 
 
 class TestFastLoglik:
     def test_matches_compressed_for_every_target(self):
         moments, params = _instance(4)
         ref = compressed_restricted_loglik(moments, params)
+        k = moments.n_cov
         for t in range(moments.k_varying):
             cache = build_cache(moments, params, t)
             res = fast_loglik(cache, params.rho[t], params.alpha[t])
             assert res.loglik == pytest.approx(ref.loglik, rel=1e-10)
-            np.testing.assert_allclose(res.b_hat, ref.b_hat, atol=1e-9)
-            np.testing.assert_allclose(res.u_hat, ref.u_hat, atol=1e-9)
+            assert res.d_theta == pytest.approx(ref.d_theta, rel=1e-10)
+            z = woodbury_coefficients(moments, params, t, cache,
+                                      params.rho[t], params.alpha[t])
+            np.testing.assert_allclose(z[:k], ref.b_hat, atol=1e-9)
+            np.testing.assert_allclose(z[k:], ref.u_hat.ravel(), atol=1e-9)
 
     def test_solve_matches_dense_inverse(self):
         moments, params = _instance(5)
@@ -118,8 +158,10 @@ class TestFastLoglik:
         t = 2
         cache = build_cache(moments, params, t)
         res = fast_loglik(cache, params.rho[t], params.alpha[t])
-        stacked = np.concatenate([res.b_hat, res.u_hat.ravel()])
+        stacked = woodbury_coefficients(moments, params, t, cache,
+                                        params.rho[t], params.alpha[t])
         np.testing.assert_allclose(stacked, z, atol=1e-10)
+        assert res.d_theta == pytest.approx(moments.yty - z @ rhs, rel=1e-10)
 
     def test_logdet_matches_dense_factorization(self):
         moments, params = _instance(6)
@@ -151,7 +193,12 @@ class TestFastLoglik:
         cache = build_cache(moments, frozen, 2)
         res = fast_loglik(cache, frozen.rho[2], frozen.alpha[2])
         assert res.loglik == pytest.approx(ref.loglik, rel=1e-10)
-        assert np.all(res.u_hat[0] == 0.0)
+        assert res.d_theta == pytest.approx(ref.d_theta, rel=1e-10)
+        assert np.all(ref.u_hat[0] == 0.0)
+        z = woodbury_coefficients(moments, frozen, 2, cache, frozen.rho[2], frozen.alpha[2])
+        k = moments.n_cov
+        np.testing.assert_allclose(z[:k], ref.b_hat, atol=1e-9)
+        np.testing.assert_allclose(z[k:], ref.u_hat.ravel(), atol=1e-9)
 
     def test_per_eval_time_flat_in_varying_count(self):
         L = 40
@@ -331,6 +378,27 @@ class TestFitSequential:
         inst = gen_large(SimConfig(n=250, k=2, seed=7, generator="large",
                                    knot_count=250))
         assert fit(inst.dataset, FitOptions()).trace.failed == {}
+
+    def test_fit_reports_the_box_ends_it_reaches(self, caplog):
+        inst = gen_large(SimConfig(n=300, k=2, seed=0, generator="large",
+                                   knot_count=200))
+        with caplog.at_level("WARNING", logger="fastsvc"):
+            res = fit(inst.dataset, FitOptions(basis="exact", seed=0))
+        assert res.trace.at_bound == {1: ["alpha_max"]}
+        assert res.params.alpha[1] == ALPHA_BOUNDS[1] and res.params.rho[1] > 0.0
+        [record] = caplog.records
+        assert record.levelname == "WARNING"
+        assert "varying coefficient 1 ends on alpha_max" in record.getMessage()
+
+    def test_bounds_compare_rho_in_log_space(self):
+        # the search returns its lower rho end as exp(log(1e-6)), not 1e-6
+        rho_min = float(np.exp(np.log(RHO_BOUNDS[0])))
+        assert rho_min != RHO_BOUNDS[0]
+        params = ShrinkageParams(np.array([rho_min, 0.0, 1.0, RHO_BOUNDS[1], 0.5]),
+                                 np.array([1.0, 4.0, 0.0, 4.0, 2.0]))
+        collapsed = np.array([False, True, False, False, False])
+        assert bounds_reached(params, collapsed) == {
+            0: ["rho_min"], 2: ["alpha_min"], 3: ["rho_max", "alpha_max"]}
 
     def test_single_coefficient_converges_in_two_sweeps(self):
         from fastsvc.compression import SvcDesign, compress
