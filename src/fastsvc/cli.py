@@ -178,6 +178,8 @@ def cmd_fit(args) -> int:
         "converged": result.trace.converged,
         "failed_evaluations": result.trace.failed,
         "at_bound": {varying[a]: ends for a, ends in result.trace.at_bound.items()},
+        "steps": [{**step, "target": varying[step["target"]]}
+                  for step in result.trace.steps],
         "timings_s": {**result.timings, "total": total},
     }
     knots = result.basis.knots

@@ -116,19 +116,21 @@ def v_diag(rho: float, alpha: float, values: np.ndarray) -> np.ndarray:
     return rho * lam ** (0.5 * alpha)
 
 
-def spd_factor(P: np.ndarray, error: type = SingularP):
+def spd_factor(P: np.ndarray, error: type = SingularP, anorm: float | None = None):
     """Cholesky of a symmetric PD matrix with a cheap condition estimate.
 
     Factors ``P`` in place, so callers pass a matrix they own. LAPACK takes
     Fortran order; a C-ordered ``P`` is factored through its transpose,
-    which for a symmetric matrix is the same matrix, so nothing is copied
-    and the 1-norm comes from ``dlange`` without an ``|P|`` temporary.
-    Returns ``((factor, lower), logdet)``; raises ``error`` when the
-    factorization fails or the reciprocal 1-norm condition estimate falls
-    below ``RCOND_LIMIT``.
+    which for a symmetric matrix is the same matrix, so nothing is copied.
+    The 1-norm of ``P`` is ``anorm`` when the caller knows it, else it comes
+    from ``dlange`` without an ``|P|`` temporary. Returns
+    ``((factor, lower), logdet)``; the factor's other triangle still holds
+    entries of ``P``. Raises ``error`` when the factorization fails or the
+    reciprocal 1-norm condition estimate falls below ``RCOND_LIMIT``.
     """
     a = P if P.flags.f_contiguous else P.T
-    anorm = lapack.dlange(b"1", a)
+    if anorm is None:
+        anorm = lapack.dlange(b"1", a)
     try:
         c, low = sla.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:

@@ -136,7 +136,8 @@ class SvcFit:
     beta_surfaces: np.ndarray  # (N, K)
     svc_flags: np.ndarray
     trace: FitTrace
-    timings: dict              # seconds per stage: basis / compress / estimate,
+    timings: dict              # seconds per stage: basis / compress / estimate /
+                               # reconstruct, basis's range / knots / eigen,
                                # and estimate's cache builds / searches
 
     @property
@@ -171,25 +172,40 @@ def reconstruct_svc(basis: EigenBasis, b_hat: np.ndarray,
     return beta
 
 
-def build_basis(coords, options: FitOptions) -> EigenBasis:
+def build_basis(coords, options: FitOptions, timings: dict | None = None) -> EigenBasis:
     """Eigenbasis per the options: range from the spanning tree unless
-    overridden, exact for modest N or knots + Nystrom otherwise."""
+    overridden, exact for modest N or knots + Nystrom otherwise.
+
+    ``timings``, when given, receives the wall seconds of the kernel range
+    (``range``), the knots (``knots``, 0 for an exact basis) and the
+    eigendecomposition with its row extension (``eigen``)."""
+    timings = {} if timings is None else timings
     coords = as_coords(coords)
     n = coords.shape[0]
+    t0 = time.perf_counter()
     r = options.range_r
     if r is None:
         r = mst_max_edge(coords)
+    t1 = time.perf_counter()
+    timings["range"] = t1 - t0
     kind = options.basis
     if kind == "auto":
         kind = "exact" if n <= AUTO_EXACT_LIMIT else "nystrom"
-    if kind == "exact":
-        return exact_basis(coords, r, max_pairs=options.max_eigenpairs)
-    if options.knot_count is None:
-        n_knots = min(200, np.unique(coords, axis=0).shape[0])
+    knots = None
+    if kind == "nystrom":
+        if options.knot_count is None:
+            n_knots = min(200, np.unique(coords, axis=0).shape[0])
+        else:
+            n_knots = min(options.knot_count, n)
+        knots = kmeans_knots(coords, n_knots, seed=options.seed)
+    t2 = time.perf_counter()
+    timings["knots"] = t2 - t1
+    if knots is None:
+        basis = exact_basis(coords, r, max_pairs=options.max_eigenpairs)
     else:
-        n_knots = min(options.knot_count, n)
-    knots = kmeans_knots(coords, n_knots, seed=options.seed)
-    return nystrom_basis(coords, knots, r, max_pairs=options.max_eigenpairs)
+        basis = nystrom_basis(coords, knots, r, max_pairs=options.max_eigenpairs)
+    timings["eigen"] = time.perf_counter() - t2
+    return basis
 
 
 def fit(dataset: SpatialDataset, options: FitOptions | None = None) -> SvcFit:
@@ -205,7 +221,7 @@ def fit(dataset: SpatialDataset, options: FitOptions | None = None) -> SvcFit:
 
     timings = {}
     t0 = time.perf_counter()
-    basis = build_basis(dataset.coords, options)
+    basis = build_basis(dataset.coords, options, timings)
     timings["basis"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -222,7 +238,9 @@ def fit(dataset: SpatialDataset, options: FitOptions | None = None) -> SvcFit:
     timings["cache"] = trace.cache_s
     timings["search"] = trace.search_s
 
+    t0 = time.perf_counter()
     beta = reconstruct_svc(basis, final.b_hat, params, final.u_hat, dataset.svc_flags)
+    timings["reconstruct"] = time.perf_counter() - t0
     return SvcFit(
         b_hat=final.b_hat,
         u_hat=final.u_hat,

@@ -15,7 +15,14 @@ from fastsvc.eigenbasis import exact_basis
 from fastsvc.errors import FastSvcError
 from fastsvc.geometry import mst_max_edge
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik, v_diag
-from fastsvc.sequential import ALPHA_BOUNDS, RESTARTS, RHO_BOUNDS, fast_loglik
+from fastsvc.sequential import (
+    ALPHA_BOUNDS,
+    COLLAPSE_MARGIN,
+    GRAD_GTOL,
+    RESTARTS,
+    RHO_BOUNDS,
+    fast_loglik,
+)
 
 
 # -- geometry ----------------------------------------------------------------
@@ -269,11 +276,16 @@ def target_free_system(moments, params, target):
     return R, m
 
 
+def full_t_block(cache):
+    """The symmetric ``T = R^{-1}[t, t]`` whose lower triangle a cache keeps."""
+    return cache.t_lower + np.tril(cache.t_lower, -1).T
+
+
 def woodbury_coefficients(moments, params, target, cache, rho, alpha):
     """Stacked coefficient solve ``z = (b, u)`` of the penalized system with
     coefficient ``target`` at (rho, alpha), from a coordinate step's cache.
 
-    ``w = (V^2 + T)^{-1} r_t`` from the cache's ``t_block`` and ``r_t``,
+    ``w = (V^2 + T)^{-1} r_t`` from the cache's ``T`` and ``r_t``,
     ``z_t = V w``, and off the target ``z = R^{-1}(m - E_t w)`` with the
     dense ``target_free_system``.
     """
@@ -281,7 +293,7 @@ def woodbury_coefficients(moments, params, target, cache, rho, alpha):
     t = slice(k + target * L, k + (target + 1) * L)
     R, m = target_free_system(moments, params, target)
     vt = v_diag(rho, alpha, moments.values)
-    w = np.linalg.solve(np.diag(vt ** 2) + cache.t_block, cache.r_t)
+    w = np.linalg.solve(np.diag(vt ** 2) + full_t_block(cache), cache.r_t)
     m[t] -= w
     z = np.linalg.solve(R, m)
     z[t] = vt * w
@@ -298,6 +310,17 @@ def fd_gradient(moments, params, target, rho, alpha, h=1e-5):
     x = np.log(rho)
     return np.array([(loglik(x + h, alpha) - loglik(x - h, alpha)) / (2 * h),
                      (loglik(x, alpha + h) - loglik(x, alpha - h)) / (2 * h)])
+
+
+def fd_hessian(cache, rho, alpha, h=1e-5):
+    """Central differences of ``fast_loglik(...).grad`` in (log rho, alpha):
+    row i is the derivative of the gradient along coordinate i."""
+    def grad(log_rho, a):
+        return fast_loglik(cache, float(np.exp(log_rho)), a).grad
+
+    x = np.log(rho)
+    return np.array([(grad(x + h, alpha) - grad(x - h, alpha)) / (2 * h),
+                     (grad(x, alpha + h) - grad(x, alpha - h)) / (2 * h)])
 
 
 def naive_gwr_site(X, y, w):
@@ -371,6 +394,57 @@ def simplex_optimize_k(cache, params, target, budget=120):
             best_ll = -res.fun
             best = (float(np.exp(res.x[0])), float(res.x[1]))
     return best[0], best[1], best_ll, n_eval
+
+
+def lbfgsb_optimize_k(cache, params, target, budget=120):
+    """The later-sweep coordinate search the Newton search replaced: the
+    incoming pair's evaluation, L-BFGS-B from that pair clipped into the box
+    (minimizing ``-loglik / (N - K)`` to ``GRAD_GTOL`` nats, no ``ftol``
+    stop), then the collapse test. Returns ``(rho, alpha, loglik, n_eval)``."""
+    lo, hi = np.log(RHO_BOUNDS[0]), np.log(RHO_BOUNDS[1])
+    per_dof = 1.0 / (cache.n_obs - cache.n_cov)
+    n_eval = 0
+
+    class Spent(Exception):
+        pass
+
+    def evaluate(rho, alpha):
+        nonlocal n_eval
+        if n_eval >= budget:
+            raise Spent
+        n_eval += 1
+        try:
+            return fast_loglik(cache, rho, alpha)
+        except FastSvcError:
+            return None
+
+    rho_in, alpha_in = float(params.rho[target]), float(params.alpha[target])
+    incoming = evaluate(rho_in, alpha_in)
+    best = (-np.inf if incoming is None else incoming.loglik, rho_in, alpha_in)
+
+    def objective(x):
+        nonlocal best
+        rho, alpha = float(np.exp(x[0])), float(x[1])
+        res = evaluate(rho, alpha)
+        if res is None:
+            return np.inf, np.zeros(2)
+        if res.loglik > best[0]:
+            best = (res.loglik, rho, alpha)
+        return -per_dof * res.loglik, -per_dof * res.grad
+
+    x0 = np.array([np.clip(np.log(max(rho_in, RHO_BOUNDS[0])), lo, hi),
+                   np.clip(alpha_in, *ALPHA_BOUNDS)])
+    try:
+        minimize(objective, x0, method="L-BFGS-B", jac=True,
+                 bounds=[(lo, hi), ALPHA_BOUNDS],
+                 options=dict(ftol=0.0, gtol=GRAD_GTOL * per_dof))
+    except Spent:
+        pass
+    if n_eval < budget:
+        collapsed = evaluate(0.0, best[2])
+        if collapsed is not None and collapsed.loglik > best[0] - COLLAPSE_MARGIN:
+            return 0.0, best[2], collapsed.loglik, n_eval
+    return best[1], best[2], best[0], n_eval
 
 
 # -- instance builders -------------------------------------------------------

@@ -25,6 +25,7 @@ from fastsvc.simulation import SimConfig, gen_large, gen_small, rmse
 
 from oracles import (
     dense_penalized_system,
+    full_t_block,
     joint_optimize,
     random_instance,
     random_params,
@@ -66,7 +67,7 @@ def test_criterion_1_oracle_chain():
             cache = build_cache(moments, params, t)
             f = fast_loglik(cache, params.rho[t], params.alpha[t])
             # the fast route returns no coefficients: the oracle forms them
-            # from the cache's t_block and r_t by the Woodbury update
+            # from the cache's T and r_t by the Woodbury update
             z = woodbury_coefficients(moments, params, t, cache,
                                       params.rho[t], params.alpha[t])
             worst_ll = max(worst_ll, _rel(d.loglik, f.loglik))
@@ -107,7 +108,7 @@ def test_criterion_2_block_identities():
         worst_d = max(worst_d, _rel(moments.yty - z @ rhs, res.d_theta))
         vt = params.rho[t] * moments.values ** (params.alpha[t] / 2.0)
         fast_logdet = cache.logdet_r + np.linalg.slogdet(
-            cache.t_block + np.diag(vt ** 2))[1]
+            full_t_block(cache) + np.diag(vt ** 2))[1]
         worst_logdet = max(worst_logdet, abs(fast_logdet - logdet))
     elapsed = time.perf_counter() - t0
     ok = worst_solve <= 1e-10 and worst_logdet <= 1e-8 and worst_d <= 1e-8

@@ -82,8 +82,12 @@ class TestFit:
         names = ["intercept", "x1"]
         assert summary["at_bound"] == {names[a]: ends
                                        for a, ends in res.trace.at_bound.items()}
-        assert set(summary["timings_s"]) == {"basis", "compress", "estimate",
-                                             "cache", "search", "total"}
+        assert summary["steps"] == [
+            {**step, "target": names[step["target"]], "start": list(step["start"]),
+             "end": list(step["end"])} for step in res.trace.steps]
+        assert set(summary["timings_s"]) == {"basis", "range", "knots", "eigen",
+                                             "compress", "estimate", "cache", "search",
+                                             "reconstruct", "total"}
 
     def test_svc_default_all_varying(self, sim_prefix, tmp_path):
         out = tmp_path / "fit2"

@@ -142,11 +142,15 @@ class TestFit:
     def test_stage_timings_recorded(self):
         inst = gen_small(SimConfig(n=250, k=2, seed=7))
         res = fit(inst.dataset, FitOptions(basis="exact", seed=0))
-        assert set(res.timings) == {"basis", "compress", "estimate", "cache", "search"}
+        assert set(res.timings) == {"basis", "range", "knots", "eigen", "compress",
+                                    "estimate", "cache", "search", "reconstruct"}
         assert all(v >= 0 for v in res.timings.values())
-        # the cache builds and the searches are parts of the estimate stage
-        assert res.timings["cache"] > 0 and res.timings["search"] > 0
-        assert res.timings["cache"] + res.timings["search"] <= res.timings["estimate"]
+        # the range, knots and eigen steps are parts of the basis stage, the
+        # cache builds and the searches parts of the estimate stage
+        t = res.timings
+        assert t["range"] + t["knots"] + t["eigen"] <= t["basis"]
+        assert t["cache"] > 0 and t["search"] > 0
+        assert t["cache"] + t["search"] <= t["estimate"]
 
 
 class TestBuildBasis:

@@ -16,6 +16,7 @@ from fastsvc.sequential import (
     build_cache,
     fast_loglik,
     fit_sequential,
+    hessian,
     optimize_k,
 )
 from fastsvc.simulation import SimConfig, gen_large
@@ -24,6 +25,9 @@ from oracles import (
     bordered_q,
     dense_penalized_system,
     fd_gradient,
+    fd_hessian,
+    full_t_block,
+    lbfgsb_optimize_k,
     random_instance,
     random_params,
     simplex_optimize_k,
@@ -45,15 +49,15 @@ class TestBuildCache:
         cold = params.with_entry(1, 0.001, 0.2)
         a = build_cache(moments, hot, 1)
         b = build_cache(moments, cold, 1)
-        for name in ("r_t", "t_block"):
+        for name in ("r_t", "t_lower", "t_abs_colsum"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert a.logdet_r == b.logdet_r
         assert a.residual == b.residual
 
     def test_single_varying_coefficient_degenerate_form(self):
         # only the intercept coefficient varies: R = [[X'X, B], [B', M_tt]]
-        # and t_block is the inverse of its Schur complement, so
-        # ln|X'X| = ln|R| + ln|t_block|
+        # and T is the inverse of its Schur complement, so
+        # ln|X'X| = ln|R| + ln|T|
         from fastsvc.compression import SvcDesign, compress
 
         _, basis, design, _ = random_instance(1, n=60, k=2, max_pairs=8)
@@ -63,20 +67,20 @@ class TestBuildCache:
         cache = build_cache(mom, ShrinkageParams(np.array([0.8]), np.array([1.0])), 0)
         sign, logdet = np.linalg.slogdet(mom.gram[:mom.n_cov, :mom.n_cov])
         assert sign > 0
-        sign_t, logdet_t = np.linalg.slogdet(cache.t_block)
+        sign_t, logdet_t = np.linalg.slogdet(full_t_block(cache))
         assert sign_t > 0
         assert cache.logdet_r + logdet_t == pytest.approx(logdet, rel=1e-10)
 
     def test_q_inverse_blocks_match_dense_inversion(self):
         # Q^{-1} = D R^{-1} D with D the off-target scaling (1 on the target)
-        # and m = D W'y, so t_block = Q^{-1}[t, t] and r_t = (Q^{-1} W'y)[t]
+        # and m = D W'y, so T = Q^{-1}[t, t] and r_t = (Q^{-1} W'y)[t]
         moments, params = _instance(2, k=3, L=6)
         target = 1
         cache = build_cache(moments, params, target)
         Q, _ = bordered_q(moments, params, target)
         dense = np.linalg.inv(Q)
         block = moments.block(target)
-        np.testing.assert_allclose(cache.t_block, dense[block, block], atol=1e-10)
+        np.testing.assert_allclose(full_t_block(cache), dense[block, block], atol=1e-10)
         np.testing.assert_allclose(cache.r_t, (dense @ moments.gy)[block], atol=1e-10)
 
     def test_off_target_zero_ratio_drops_its_block(self, monkeypatch):
@@ -102,7 +106,7 @@ class TestBuildCache:
         R, rhs = target_free_system(moments, frozen, target)
         dense = np.linalg.inv(R)
         block = moments.block(target)
-        np.testing.assert_allclose(cache.t_block, dense[block, block], atol=1e-10)
+        np.testing.assert_allclose(full_t_block(cache), dense[block, block], atol=1e-10)
         np.testing.assert_allclose(cache.r_t, (dense @ rhs)[block], atol=1e-10)
         sign, logdet = np.linalg.slogdet(R)
         assert sign > 0
@@ -131,7 +135,7 @@ class TestBuildCache:
         cache = build_cache(small, params, 0)
         L = small.n_basis
         assert cache.r_t.shape == (L,)
-        assert cache.t_block.shape == (L, L)
+        assert cache.t_lower.shape == (L, L)
         arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
         assert all(a.shape[0] != small.size for a in arrays)
 
@@ -171,7 +175,7 @@ class TestFastLoglik:
         t = 0
         cache = build_cache(moments, params, t)
         vt = params.rho[t] * moments.values ** (params.alpha[t] / 2)
-        inner = cache.t_block + np.diag(vt ** 2)
+        inner = full_t_block(cache) + np.diag(vt ** 2)
         got = cache.logdet_r + np.linalg.slogdet(inner)[1]
         assert got == pytest.approx(logdet, rel=1e-10)
 
@@ -235,6 +239,20 @@ class TestGradient:
                     err_msg=f"target {t} at rho={rho}, alpha={alpha}")
 
 
+class TestHessian:
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    def test_matches_finite_differences(self, seed):
+        moments, params = _instance(seed)
+        for t in range(moments.k_varying):
+            cache = build_cache(moments, params, t)
+            for rho, alpha in TestGradient.POINTS:
+                got = hessian(cache, fast_loglik(cache, rho, alpha))
+                np.testing.assert_array_equal(got, got.T)
+                np.testing.assert_allclose(
+                    got, fd_hessian(cache, rho, alpha), rtol=1e-6, atol=1e-7,
+                    err_msg=f"target {t} at rho={rho}, alpha={alpha}")
+
+
 class TestOptimizeK:
     def test_never_worse_than_incoming_optimum(self):
         moments, _ = _instance(10, k=2)
@@ -258,6 +276,29 @@ class TestOptimizeK:
                 _, _, ref, _ = simplex_optimize_k(cache, params, t)
                 assert ll >= ref - 1e-6, f"seed {seed}, target {t}"
                 assert n_eval <= 120
+
+    def test_newton_step_matches_lbfgsb_in_fewer_evaluations(self):
+        # the later-sweep search from the incoming pair: Newton ends no lower
+        # than L-BFGS-B from the same pair, with fewer evaluations in total
+        newton_evals = lbfgsb_evals = 0
+        for seed in range(30, 36):
+            moments, params = _instance(seed, k=3)
+            for t in range(moments.k_varying):
+                cache = build_cache(moments, params, t)
+                step = optimize_k(cache, params, t, sweep=1)
+                _, _, ref, n_ref = lbfgsb_optimize_k(cache, params, t)
+                assert step.search == "newton"
+                assert step[2] >= ref - 1e-6, f"seed {seed}, target {t}"
+                newton_evals += step[3]
+                lbfgsb_evals += n_ref
+        assert newton_evals < lbfgsb_evals
+
+    def test_budget_stops_the_newton_search(self):
+        moments, params = _instance(31, k=3)
+        cache = build_cache(moments, params, 0)
+        assert optimize_k(cache, params, 0, sweep=1)[3] > 3
+        step = optimize_k(cache, params, 0, budget=3, sweep=1)
+        assert step.search == "newton" and step[3] <= 3
 
     def test_failed_evaluations_counted_and_survived(self, monkeypatch):
         import fastsvc.sequential as sequential
@@ -306,36 +347,55 @@ class TestOptimizeK:
         assert rho_f > 0.0 and ll_f >= ll - 1e-6
 
     def test_start_policy(self, monkeypatch):
-        # sweep 0 searches from the restarts only, a later sweep from the
-        # incoming pair only, and a later sweep whose incoming evaluation
-        # fails from the restarts again
+        # sweep 0 runs L-BFGS-B from the restarts only; a later sweep runs
+        # Newton from the incoming pair, reusing its evaluation, and never
+        # calls minimize; a later sweep whose incoming evaluation fails runs
+        # L-BFGS-B from the restarts again
         import fastsvc.sequential as sequential
 
         moments, params = _instance(30, k=3)
         cache = build_cache(moments, params, 1)
         incoming = (float(params.rho[1]), float(params.alpha[1]))
-        starts = []
+        starts, evaluated, hessians = [], [], []
 
         def recorded(fun, x0, **kwargs):
             starts.append(tuple(x0))
             return minimize(fun, x0, **kwargs)
+
+        def recorded_loglik(cache, rho, alpha):
+            res = fast_loglik(cache, rho, alpha)
+            evaluated.append(((rho, alpha), res))
+            return res
+
+        def recorded_hessian(cache, res):
+            hessians.append(res)
+            return hessian(cache, res)
 
         def failing_at_incoming(cache, rho, alpha):
             if (rho, alpha) == incoming:
                 raise SingularInnerMatrix("injected")
             return fast_loglik(cache, rho, alpha)
 
-        def starts_of(sweep):
-            starts.clear()
-            optimize_k(cache, params, 1, sweep=sweep)
-            return starts
+        def run(sweep):
+            starts.clear(), evaluated.clear(), hessians.clear()
+            return optimize_k(cache, params, 1, sweep=sweep)
 
         monkeypatch.setattr(sequential, "minimize", recorded)
+        monkeypatch.setattr(sequential, "hessian", recorded_hessian)
+        monkeypatch.setattr(sequential, "fast_loglik", recorded_loglik)
         restarts = [(np.log(rho), alpha) for rho, alpha in RESTARTS]
-        assert starts_of(0) == restarts
-        assert starts_of(1) == [(np.log(incoming[0]), incoming[1])]
+        assert run(0).search == "lbfgsb"
+        assert starts == restarts and hessians == []
+
+        step = run(1)
+        assert step.search == "newton" and starts == []
+        assert evaluated[0][0] == incoming
+        assert hessians and hessians[0] is evaluated[0][1]
+        assert [point for point, _ in evaluated].count(incoming) == 1
+
         monkeypatch.setattr(sequential, "fast_loglik", failing_at_incoming)
-        assert starts_of(1) == restarts
+        assert run(1).search == "lbfgsb"
+        assert starts == restarts and hessians == []
 
     def test_budget_validated(self):
         moments, params = _instance(11, k=2)
@@ -389,6 +449,23 @@ class TestFitSequential:
         [record] = caplog.records
         assert record.levelname == "WARNING"
         assert "varying coefficient 1 ends on alpha_max" in record.getMessage()
+
+    def test_steps_recorded_and_logged(self, caplog):
+        moments, _ = _instance(13, k=3)
+        with caplog.at_level("DEBUG", logger="fastsvc"):
+            params, _, trace = fit_sequential(moments)
+        steps = trace.steps
+        assert [s["n_eval"] for s in steps] == [n for c in trace.eval_counts for n in c]
+        assert {s["search"] for s in steps if s["sweep"] == 0} == {"lbfgsb"}
+        assert {s["search"] for s in steps if s["sweep"] > 0} == {"newton"}
+        assert sum(s["n_failed"] for s in steps) == sum(trace.failed.values())
+        for a in range(moments.k_varying):
+            last = [s for s in steps if s["target"] == a][-1]
+            assert last["end"] == (params.rho[a], params.alpha[a])
+            assert last["collapsed"] == trace.collapsed[a]
+            assert len(last["grad"]) == 2
+        debug = [r for r in caplog.records if r.levelname == "DEBUG"]
+        assert len(debug) == len(steps)
 
     def test_bounds_compare_rho_in_log_space(self):
         # the search returns its lower rho end as exp(log(1e-6)), not 1e-6
