@@ -129,6 +129,11 @@ GRAD_GTOL = 1e-5
 NEWTON_ARMIJO = 1e-4
 NEWTON_MIN_T = 1e-6
 
+#: Newton search: the line search also gives up when the decrease the step
+#: predicts, t |g'step|, is at most this many units of rounding of f; such a
+#: decrease cannot be told from the rounding of the loglik
+NEWTON_ROUNDING_ULPS = 8
+
 #: Newton search: largest step in (log rho, alpha), max-norm, before the
 #: projection onto the box; a factor e^2 in rho
 NEWTON_MAX_STEP = 2.0
@@ -372,7 +377,9 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
     ``_modified_newton_step``, caps its max-norm at ``NEWTON_MAX_STEP``,
     projects it onto the box and backtracks by halving until the Armijo
     decrease ``NEWTON_ARMIJO`` holds (a failed evaluation is a rejected
-    step). It gives up when the step factor falls below ``NEWTON_MIN_T``.
+    step). It gives up when the step factor falls below ``NEWTON_MIN_T`` or
+    the decrease the unprojected step predicts is within
+    ``NEWTON_ROUNDING_ULPS`` roundings of ``f``.
 
     The gradient in log rho vanishes as rho approaches 0, so a search may
     stop short of the bound there; the exactly collapsed loglik (rho = 0) is
@@ -440,6 +447,7 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
 
     def newton(x, res):
         f = -per_dof * res.loglik
+        rounding = NEWTON_ROUNDING_ULPS * np.finfo(float).eps
         while True:
             g = -per_dof * res.grad
             if np.max(np.abs(np.clip(x - g, lower, upper) - x)) <= gtol:
@@ -449,9 +457,10 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
             step = np.zeros(2)
             step[free] = _modified_newton_step(h[np.ix_(free, free)], g[free])
             step *= min(1.0, NEWTON_MAX_STEP / np.max(np.abs(step)))
+            descent = -(g @ step)  # > 0: H_free was made positive definite
             t = 1.0
             while True:
-                if t < NEWTON_MIN_T:
+                if t < NEWTON_MIN_T or t * descent <= rounding * abs(f):
                     return
                 x_t = np.clip(x + t * step, lower, upper)
                 res_t = tracked(x_t)
@@ -491,8 +500,6 @@ def optimize_k(cache: PerKCache, params: ShrinkageParams, target: int,
 class FitTrace:
     """Sweep-by-sweep record of the coordinate ascent."""
 
-    sweep_logliks: list = field(default_factory=list)
-    eval_counts: list = field(default_factory=list)
     failed: dict = field(default_factory=dict)  # error class -> failed evaluations
     collapsed: np.ndarray | None = None
     converged: bool = False
@@ -501,14 +508,34 @@ class FitTrace:
                                                   # box ends its final pair is on
     cache_s: float = 0.0   # summed build_cache wall time
     search_s: float = 0.0  # summed optimize_k wall time
-    steps: list = field(default_factory=list)  # one dict per coordinate step:
-    # sweep, target, search ("lbfgsb" | "newton"), start and end (rho, alpha),
-    # loglik, n_eval, n_failed, collapsed, and grad, the end point's gradient
-    # in (log rho, alpha) in nats
+    steps: list = field(default_factory=list)  # one dict per coordinate step,
+    # in order: sweep, target, search ("lbfgsb" | "newton"), start and end
+    # (rho, alpha), loglik, n_eval, n_failed, collapsed, and grad, the end
+    # point's gradient in (log rho, alpha) in nats
 
     @property
     def n_sweeps(self) -> int:
-        return len(self.sweep_logliks)
+        return self.steps[-1]["sweep"] + 1 if self.steps else 0
+
+    @property
+    def eval_counts(self) -> list:
+        """Each step's evaluations, one list per sweep."""
+        counts = [[] for _ in range(self.n_sweeps)]
+        for step in self.steps:
+            counts[step["sweep"]].append(step["n_eval"])
+        return counts
+
+    @property
+    def sweep_logliks(self) -> list:
+        """Each sweep's last finite step loglik, carried over from the sweep
+        before (-inf before the first) when it has none."""
+        lls = []
+        for step in self.steps:
+            if step["sweep"] == len(lls):
+                lls.append(lls[-1] if lls else -np.inf)
+            if np.isfinite(step["loglik"]):
+                lls[-1] = step["loglik"]
+        return lls
 
 
 def fit_sequential(moments: CompressedMoments,
@@ -549,10 +576,7 @@ def fit_sequential(moments: CompressedMoments,
         raise ValueError("init length must match the number of varying coefficients")
 
     trace = FitTrace(collapsed=np.zeros(kv, dtype=bool))
-    prev_ll = -np.inf
     for sweep in range(max_sweeps):
-        ll = prev_ll
-        counts = []
         for a in range(kv):
             if trace.collapsed[a]:
                 continue
@@ -574,22 +598,17 @@ def fit_sequential(moments: CompressedMoments,
                        "(%.6g, %.6g), loglik %.9g, %d evaluations (%d failed), "
                        "gradient (%.3g, %.3g)", sweep, a, step.search, *record["start"],
                        rho, alpha, ll_a, n_eval, step.n_failed, *record["grad"])
-            counts.append(n_eval)
-            if np.isfinite(ll_a):
-                ll = ll_a
             trace.collapsed[a] = rho == 0.0
             params = params.with_entry(a, rho, alpha)
-        trace.sweep_logliks.append(ll)
-        trace.eval_counts.append(counts)
         if trace.collapsed.all():
             trace.converged = True
             trace.reason = "all coefficients collapsed to constants"
             break
-        if sweep > 0 and ll - prev_ll < tol:
+        lls = trace.sweep_logliks
+        if sweep > 0 and lls[-1] - lls[-2] < tol:
             trace.converged = True
-            trace.reason = f"sweep gain {ll - prev_ll:.3e} below tol"
+            trace.reason = f"sweep gain {lls[-1] - lls[-2]:.3e} below tol"
             break
-        prev_ll = ll
     else:
         trace.reason = f"max_sweeps={max_sweeps} reached"
 

@@ -12,6 +12,7 @@ from fastsvc.sequential import (
     ALPHA_BOUNDS,
     RESTARTS,
     RHO_BOUNDS,
+    FitTrace,
     bounds_reached,
     build_cache,
     fast_loglik,
@@ -455,7 +456,9 @@ class TestFitSequential:
         with caplog.at_level("DEBUG", logger="fastsvc"):
             params, _, trace = fit_sequential(moments)
         steps = trace.steps
-        assert [s["n_eval"] for s in steps] == [n for c in trace.eval_counts for n in c]
+        assert [s["sweep"] for s in steps] == sorted(s["sweep"] for s in steps)
+        assert {s["sweep"] for s in steps} == set(range(trace.n_sweeps))
+        assert all(1 <= s["n_eval"] <= 120 for s in steps)
         assert {s["search"] for s in steps if s["sweep"] == 0} == {"lbfgsb"}
         assert {s["search"] for s in steps if s["sweep"] > 0} == {"newton"}
         assert sum(s["n_failed"] for s in steps) == sum(trace.failed.values())
@@ -466,6 +469,27 @@ class TestFitSequential:
             assert len(last["grad"]) == 2
         debug = [r for r in caplog.records if r.levelname == "DEBUG"]
         assert len(debug) == len(steps)
+
+    def test_sweep_records_derive_from_the_steps(self):
+        def step(sweep, loglik, n_eval):
+            return dict(sweep=sweep, loglik=loglik, n_eval=n_eval)
+
+        trace = FitTrace(steps=[step(0, -np.inf, 3), step(0, -5.0, 7), step(0, -np.inf, 2),
+                                step(1, -np.inf, 4), step(2, -4.0, 6)])
+        assert trace.n_sweeps == 3
+        assert trace.eval_counts == [[3, 7, 2], [4], [6]]
+        assert trace.sweep_logliks == [-5.0, -5.0, -4.0]
+        assert FitTrace(steps=[step(0, -np.inf, 1)]).sweep_logliks == [-np.inf]
+        assert FitTrace().n_sweeps == 0
+
+    def test_later_steps_stop_at_the_loglik_rounding(self):
+        # a Newton step whose predicted decrease is below the rounding of the
+        # loglik gives up instead of halving down to NEWTON_MIN_T, which on
+        # this fit took one later step 23 evaluations
+        inst = gen_large(SimConfig(5000, 4, 2000, generator="large", knot_count=500))
+        res = fit(inst.dataset, FitOptions(seed=0))
+        later = [s["n_eval"] for s in res.trace.steps if s["sweep"] > 0]
+        assert later and max(later) <= 10
 
     def test_bounds_compare_rho_in_log_space(self):
         # the search returns its lower rho end as exp(log(1e-6)), not 1e-6
