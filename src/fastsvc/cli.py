@@ -166,6 +166,8 @@ def cmd_fit(args) -> int:
         "k": dataset.n_cov,
         "basis_kind": result.basis.kind,
         "n_eigenpairs": result.basis.n_pairs,
+        "lambda_1": float(result.basis.values[0]),
+        "lambda_L": float(result.basis.values[-1]),
         "range_r": result.basis.range_r,
         "b_hat": dict(zip(names, result.b_hat.tolist())),
         "rho": dict(zip(varying, result.params.rho.tolist())),

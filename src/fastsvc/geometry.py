@@ -10,7 +10,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay, QhullError, cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import (AllPointsCoincident, DegenerateTriangulation, InvalidKnotCount,
@@ -162,7 +162,7 @@ def _plusplus_seed(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return centers
 
 
-def _nearest_two(pts: np.ndarray, centers: np.ndarray, chunk: int = 4096):
+def _nearest_two_rows(pts: np.ndarray, centers: np.ndarray, chunk: int = 4096):
     """Nearest center of each point (the ``argmin`` of its ``cdist`` row, so
     ties go to the lowest index), its distance, and the distance to the
     second-nearest center (inf with one center)."""
@@ -176,6 +176,22 @@ def _nearest_two(pts: np.ndarray, centers: np.ndarray, chunk: int = 4096):
         first[lo:lo + chunk] = d[r, idx]
         d[r, idx] = np.inf
         second[lo:lo + chunk] = d.min(axis=1)
+    return nearest, first, second
+
+
+def _nearest_two(pts: np.ndarray, centers: np.ndarray, margin: float):
+    """``_nearest_two_rows`` from a kd-tree over the centers (Kanungo et
+    al., IEEE TPAMI 2002). A point whose two nearest distances are not
+    apart by the relative ``margin`` may be tied, so it takes the ``cdist``
+    row instead, as do all points when there are fewer than two centers or
+    a center is not finite (the tree rejects NaN)."""
+    if centers.shape[0] < 2 or not np.isfinite(centers).all():
+        return _nearest_two_rows(pts, centers)
+    dist, idx = cKDTree(centers).query(pts, k=2)
+    nearest, first, second = idx[:, 0], dist[:, 0], dist[:, 1]
+    tied = np.flatnonzero(~(first < second * (1.0 - margin)))
+    if tied.size:
+        nearest[tied], first[tied], second[tied] = _nearest_two_rows(pts[tied], centers)
     return nearest, first, second
 
 
@@ -219,8 +235,25 @@ def kmeans_knots(coords, n_knots: int, seed: int = 0) -> KnotSet:
     ``(P + 7) u0`` relative to ``l + s``, so ``(2 P + 16) u0`` suffices to
     first order; ``margin`` doubles it. A pass that re-seeds an empty
     cluster makes every bound inexact, so the next pass recomputes every
-    row. The centers, the pass count and the cap flag therefore equal those
-    of plain Lloyd recomputing every row on every pass.
+    row.
+
+    A recomputed point takes its two nearest centers from a kd-tree over the
+    centers (Kanungo et al., IEEE TPAMI 2002), built once per pass. The tree
+    forms each distance as ``cdist`` does, the root of ``dx**2 + dy**2``, so
+    it carries the same ``3 u0``. It skips a node only when the squared
+    distance to the node's box exceeds the squared ``second`` found so far;
+    that box distance is summed from per-axis gaps none larger than itself,
+    so a skipped center lies no nearer than ``second`` less a relative error
+    of order ``u0`` per tree level, far inside ``margin``. The tree's
+    ``second`` is therefore as good a lower bound as ``cdist``'s. A point
+    whose tree distances fail ``first < second (1 - margin)`` may be tied,
+    exactly or within that rounding, with ``second`` or a skipped center,
+    so it takes its ``cdist`` row and ``argmin`` gives the tie to the lowest
+    index. Any other point's tree neighbour is strictly nearest, so
+    ``argmin`` returns it too. Passes with one center or a NaN center (one
+    left empty by a re-seed) use ``cdist`` rows throughout. The centers, the
+    pass count and the cap flag therefore equal those of plain Lloyd
+    recomputing every row on every pass.
     """
     pts = as_coords(coords)
     n = pts.shape[0]
@@ -239,7 +272,8 @@ def kmeans_knots(coords, n_knots: int, seed: int = 0) -> KnotSet:
         new_assignment = assignment.copy()
         # a NaN bound (a center left empty by the re-seed) proves nothing
         stale = np.flatnonzero(~(upper < lower * (1.0 - margin) - margin * slack))
-        new_assignment[stale], upper[stale], lower[stale] = _nearest_two(pts[stale], centers)
+        new_assignment[stale], upper[stale], lower[stale] = _nearest_two(
+            pts[stale], centers, margin)
         counts = np.bincount(new_assignment, minlength=n_knots)
         empty = np.flatnonzero(counts == 0)
         if empty.size:

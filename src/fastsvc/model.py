@@ -9,6 +9,7 @@ result so scaling behavior can be inspected.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ from .sequential import FitTrace, fit_sequential
 
 #: with basis="auto", the exact eigenbasis is used up to this N
 AUTO_EXACT_LIMIT = 1000
+
+_log = logging.getLogger("fastsvc")
 
 
 @dataclass(frozen=True)
@@ -178,7 +181,9 @@ def build_basis(coords, options: FitOptions, timings: dict | None = None) -> Eig
 
     ``timings``, when given, receives the wall seconds of the kernel range
     (``range``), the knots (``knots``, 0 for an exact basis) and the
-    eigendecomposition with its row extension (``eigen``)."""
+    eigendecomposition with its row extension (``eigen``). One DEBUG line on
+    the ``fastsvc`` logger describes the basis: its kind, range, knots,
+    pair count L and eigenvalue spread ``lambda_1 .. lambda_L``."""
     timings = {} if timings is None else timings
     coords = as_coords(coords)
     n = coords.shape[0]
@@ -205,6 +210,10 @@ def build_basis(coords, options: FitOptions, timings: dict | None = None) -> Eig
     else:
         basis = nystrom_basis(coords, knots, r, max_pairs=options.max_eigenpairs)
     timings["eigen"] = time.perf_counter() - t2
+    knot_note = "no knots" if knots is None else (
+        f"{knots.count} knots after {knots.passes} passes (converged={knots.converged})")
+    _log.debug("%s basis: range_r=%.6g, %s, L=%d, lambda_1=%.6g, lambda_L=%.6g", kind, r,
+               knot_note, basis.n_pairs, basis.values[0], basis.values[-1])
     return basis
 
 

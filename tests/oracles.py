@@ -96,8 +96,8 @@ def lloyd_kmeans(points, n_knots, seed, max_iter=100):
     """Plain Lloyd k-means with ++ seeding: every pass takes the ``argmin``
     of the full ``cdist`` matrix, so ties go to the lowest index. Empty
     clusters are re-seeded from the point farthest from its current center.
-    Returns the centers and the number of passes run (``max_iter`` when the
-    cap stopped it)."""
+    Returns the centers, the number of passes run (``max_iter`` when the
+    cap stopped it) and whether they ended at an assignment fixed point."""
     pts = np.asarray(points, float)
     n = pts.shape[0]
     rng = np.random.default_rng(seed)
@@ -111,6 +111,7 @@ def lloyd_kmeans(points, n_knots, seed, max_iter=100):
         np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1), out=d2)
 
     assignment = np.full(n, -1)
+    converged = False
     for passes in range(1, max_iter + 1):
         new_assignment = np.argmin(cdist(pts, centers), axis=1)
         counts = np.bincount(new_assignment, minlength=n_knots)
@@ -127,9 +128,10 @@ def lloyd_kmeans(points, n_knots, seed, max_iter=100):
         np.add.at(sums, new_assignment, pts)
         centers = sums / counts[:, None]
         if np.array_equal(new_assignment, assignment):
+            converged = True
             break
         assignment = new_assignment
-    return centers, passes
+    return centers, passes, converged
 
 
 # -- eigenbasis --------------------------------------------------------------

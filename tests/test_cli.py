@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -113,6 +114,27 @@ class TestFit:
         assert summary["knots"] == {"count": 40, "passes": knots.passes,
                                     "converged": True}
         assert knots.passes > 1
+
+    def test_summary_and_debug_log_report_the_basis(self, sim_prefix, tmp_path, caplog):
+        out = tmp_path / "diag"
+        with caplog.at_level(logging.DEBUG, logger="fastsvc"):
+            rc = main(["fit", "--input", str(sim_prefix) + ".data.csv", "--y", "y",
+                       "--x", "x1", "--coords", "px,py", "--basis", "nystrom",
+                       "--knots", "40", "--seed", "0", "--out", str(out)])
+        assert rc == 0
+        dh, dd = _read_table(str(sim_prefix) + ".data.csv")
+        basis = build_basis(dd[:, [dh.index("px"), dh.index("py")]],
+                            FitOptions(basis="nystrom", knot_count=40, seed=0))
+        summary = json.loads((tmp_path / "diag.summary.json").read_text())
+        assert (summary["n_eigenpairs"], summary["lambda_1"], summary["lambda_L"]) == (
+            basis.n_pairs, basis.values[0], basis.values[-1])
+        assert basis.values[0] > basis.values[-1] > 0
+        lines = [r.getMessage() for r in caplog.records if "basis:" in r.getMessage()]
+        knots = basis.knots
+        assert lines == [
+            f"nystrom basis: range_r={basis.range_r:.6g}, 40 knots after {knots.passes} "
+            f"passes (converged=True), L={basis.n_pairs}, lambda_1={basis.values[0]:.6g}, "
+            f"lambda_L={basis.values[-1]:.6g}"]
 
     def test_svc_subset(self, sim_prefix, tmp_path):
         # empty --svc keeps only the (always varying) intercept surface

@@ -2,6 +2,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastsvc import geometry
 from fastsvc.errors import AllPointsCoincident, InvalidKnotCount, NonPositiveRange
@@ -72,6 +74,29 @@ def _outlier_groups(data_seed):
 
 #: (data seed, knots, k-means seed) of runs in which Lloyd empties a cluster
 OUTLIER_RUNS = [(3754, 25, 2), (9901, 22, 0)]
+
+#: the same examples on every run, few enough for the fast tier
+DETERMINISTIC = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+_DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.6, -0.8), (0.1, 0.7)]
+
+
+@st.composite
+def _site_sets(draw):
+    """Integer lattice sites or integer steps along a line, every site
+    repeated 1 to 3 times, with or without a 1e6 offset; returns the sites
+    and their distinct count."""
+    steps = st.integers(-12, 12)
+    if draw(st.booleans()):
+        sites = np.array(draw(st.lists(st.tuples(steps, steps), min_size=1, max_size=40)),
+                         dtype=float)
+    else:
+        t = np.array(draw(st.lists(steps, min_size=1, max_size=40)), dtype=float)
+        sites = np.outer(t, draw(st.sampled_from(_DIRECTIONS)))
+    sites = np.repeat(sites, draw(st.integers(1, 3)), axis=0)
+    if draw(st.booleans()):
+        sites = sites + 1e6
+    return sites, np.unique(sites, axis=0).shape[0]
 
 
 class TestPairwiseDistances:
@@ -197,9 +222,9 @@ class TestKmeansKnots:
         pts, n_knots = LLOYD_CASES[name]
         for seed in range(3):
             knots = kmeans_knots(pts, n_knots, seed=seed)
-            centers, passes = lloyd_kmeans(pts, n_knots, seed)
+            centers, passes, converged = lloyd_kmeans(pts, n_knots, seed)
             assert np.array_equal(knots.centers, centers)
-            assert (knots.passes, knots.converged) == (passes, True)
+            assert converged and (knots.passes, knots.converged) == (passes, True)
 
     def test_equals_lloyd_oracle_through_reseed(self, monkeypatch):
         reseeds = []
@@ -215,9 +240,52 @@ class TestKmeansKnots:
             before = len(reseeds)
             knots = kmeans_knots(pts, n_knots, seed=seed)
             assert len(reseeds) > before
-            centers, passes = lloyd_kmeans(pts, n_knots, seed)
+            centers, passes, _ = lloyd_kmeans(pts, n_knots, seed)
             assert np.array_equal(knots.centers, centers)
             assert knots.passes == passes
+
+    def test_tied_rows_take_cdist_rows(self, monkeypatch):
+        tied = []
+        rows = geometry._nearest_two_rows
+
+        def counted(pts, centers):
+            tied.append(pts.shape[0])
+            return rows(pts, centers)
+
+        monkeypatch.setattr(geometry, "_nearest_two_rows", counted)
+        pts, n_knots = LLOYD_CASES["grid_40x40"]
+        knots = kmeans_knots(pts, n_knots, seed=0)
+        assert sum(tied) > 0
+        centers, passes, _ = lloyd_kmeans(pts, n_knots, 0)
+        assert np.array_equal(knots.centers, centers)
+        assert knots.passes == passes
+
+    def test_nan_center_takes_cdist_rows(self):
+        pts = np.random.default_rng(4).standard_normal((50, 2))
+        centers = np.array([(0.0, 0.0), (np.nan, np.nan), (1.0, 1.0)])
+        got = geometry._nearest_two(pts, centers, 1e-12)
+        for a, b in zip(got, geometry._nearest_two_rows(pts, centers)):
+            np.testing.assert_array_equal(a, b)
+
+    @DETERMINISTIC
+    @given(data=_site_sets(), draw=st.data(), seed=st.integers(0, 3))
+    def test_equals_lloyd_oracle_on_generated_sites(self, data, draw, seed):
+        pts, distinct = data
+        n_knots = draw.draw(st.integers(1, distinct), label="n_knots")
+        knots = kmeans_knots(pts, n_knots, seed=seed)
+        centers, passes, converged = lloyd_kmeans(pts, n_knots, seed)
+        assert np.array_equal(knots.centers, centers)
+        assert (knots.passes, knots.converged) == (passes, converged)
+
+    @DETERMINISTIC
+    @given(data=_site_sets(), extra=st.integers(1, 3))
+    def test_more_knots_than_distinct_sites_raises(self, data, extra):
+        pts, distinct = data
+        n_knots = distinct + extra
+        # the seeding counts the distinct sites; above N the count check fires first
+        match = f"exceeds the {distinct} distinct" if n_knots <= pts.shape[0] else "outside"
+        with pytest.raises(InvalidKnotCount, match=match):
+            kmeans_knots(pts, n_knots, seed=0)
 
     def test_cap_reported(self, monkeypatch, caplog):
         pts, n_knots = LLOYD_CASES["spread_1e-3_offset_1e6"]
@@ -228,8 +296,8 @@ class TestKmeansKnots:
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
         assert "2-pass cap" in message and "N=3000" in message and "40 knots" in message
-        centers, passes = lloyd_kmeans(pts, n_knots, 0, max_iter=2)
-        assert passes == 2
+        centers, passes, converged = lloyd_kmeans(pts, n_knots, 0, max_iter=2)
+        assert (passes, converged) == (2, False)
         assert np.array_equal(knots.centers, centers)
 
     def test_converged_fit_logs_nothing(self, caplog):
