@@ -186,8 +186,8 @@ def cmd_fit(args) -> int:
     }
     knots = result.basis.knots
     if knots is not None:
-        summary["knots"] = {"count": knots.count, "passes": knots.passes,
-                            "converged": knots.converged}
+        summary["knots"] = {"count": knots.count, "sites": knots.sites,
+                            "passes": knots.passes, "converged": knots.converged}
     _write_json(f"{args.out}.summary.json", summary)
     print(f"fit: N={dataset.n_obs} K={dataset.n_cov} loglik={result.loglik:.6f} "
           f"sigma2={result.sigma2_hat:.6g} -> {args.out}.beta.csv, {args.out}.summary.json")

@@ -119,14 +119,16 @@ def mst_max_edge(coords) -> float:
 class KnotSet:
     """K-means cluster centers, the knots of a Nystrom basis.
 
-    ``passes`` counts the Lloyd passes that placed them, and ``converged``
-    is False when those passes stopped at the cap instead of at a fixed
-    point. Knots built by hand keep the defaults.
+    ``passes`` counts the Lloyd passes that placed them, ``converged`` is
+    False when those passes stopped at the cap instead of at a fixed point,
+    and ``sites`` counts the sites they ran on. Knots built by hand keep the
+    defaults.
     """
 
     centers: np.ndarray     # (L, 2)
     passes: int = 0
     converged: bool = True
+    sites: int = 0
 
     @property
     def count(self) -> int:
@@ -300,7 +302,7 @@ def kmeans_knots(coords, n_knots: int, seed: int = 0) -> KnotSet:
     if not converged:
         _log.warning("k-means knot placement stopped at its %d-pass cap before "
                      "converging (N=%d, %d knots)", cap, n, n_knots)
-    return KnotSet(centers=centers, passes=passes, converged=converged)
+    return KnotSet(centers=centers, passes=passes, converged=converged, sites=n)
 
 
 def proximity(a, b, range_r: float, zero_diagonal: bool = False) -> np.ndarray:

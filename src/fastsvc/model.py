@@ -18,13 +18,17 @@ from scipy.linalg import blas
 
 from .compression import SvcDesign, _check_regression, compress
 from .eigenbasis import DEFAULT_MAX_PAIRS, ROW_CHUNK, EigenBasis, exact_basis, nystrom_basis
-from .errors import DependentCovariates, InsufficientData
-from .geometry import as_coords, kmeans_knots, mst_max_edge
+from .errors import DependentCovariates, InsufficientData, InvalidKnotCount
+from .geometry import KnotSet, as_coords, kmeans_knots, mst_max_edge
 from .likelihood import ShrinkageParams, v_diag
 from .sequential import FitTrace, fit_sequential
 
 #: with basis="auto", the exact eigenbasis is used up to this N
 AUTO_EXACT_LIMIT = 1000
+
+#: a fit's k-means runs on at most this many sites per knot; fixed on cost:
+#: at this density Lloyd converges in about 25 passes
+KNOT_SAMPLE_PER_KNOT = 25
 
 _log = logging.getLogger("fastsvc")
 
@@ -175,15 +179,41 @@ def reconstruct_svc(basis: EigenBasis, b_hat: np.ndarray,
     return beta
 
 
+def _fit_knots(coords: np.ndarray, n_knots: int, seed: int) -> KnotSet:
+    """``kmeans_knots`` on at most ``KNOT_SAMPLE_PER_KNOT * n_knots`` sites.
+
+    Knots are only Nystrom landmarks, so above that bound Lloyd runs on a
+    uniform sample of the sites, drawn without replacement and kept in
+    their original order (k-means on samples: Sculley, WWW 2010; k-means
+    Nystrom landmarks: Zhang, Tsang & Kwok, ICML 2008). The sample is drawn
+    from the first stream spawned from ``seed``, independent of the ++
+    seeding's ``default_rng(seed)``. At or below the bound, k-means gets
+    ``coords`` itself. A sample holding fewer distinct sites than
+    ``n_knots`` makes k-means run on all sites, so only data with too few
+    distinct sites raise ``InvalidKnotCount``. ``KnotSet.sites`` reports
+    how many sites k-means ran on."""
+    n = coords.shape[0]
+    bound = KNOT_SAMPLE_PER_KNOT * n_knots
+    if n > bound:
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        sample = coords[np.sort(rng.choice(n, size=bound, replace=False))]
+        try:
+            return kmeans_knots(sample, n_knots, seed=seed)
+        except InvalidKnotCount:
+            pass  # too many repeated sites in the sample; all sites may do
+    return kmeans_knots(coords, n_knots, seed=seed)
+
+
 def build_basis(coords, options: FitOptions, timings: dict | None = None) -> EigenBasis:
     """Eigenbasis per the options: range from the spanning tree unless
     overridden, exact for modest N or knots + Nystrom otherwise.
 
     ``timings``, when given, receives the wall seconds of the kernel range
     (``range``), the knots (``knots``, 0 for an exact basis) and the
-    eigendecomposition with its row extension (``eigen``). One DEBUG line on
-    the ``fastsvc`` logger describes the basis: its kind, range, knots,
-    pair count L and eigenvalue spread ``lambda_1 .. lambda_L``."""
+    eigendecomposition with its row extension (``eigen``). Knots come from
+    ``_fit_knots``. One DEBUG line on the ``fastsvc`` logger describes the
+    basis: its kind, range, knots and the sites k-means ran on, pair count L
+    and eigenvalue spread ``lambda_1 .. lambda_L``."""
     timings = {} if timings is None else timings
     coords = as_coords(coords)
     n = coords.shape[0]
@@ -202,7 +232,7 @@ def build_basis(coords, options: FitOptions, timings: dict | None = None) -> Eig
             n_knots = min(200, np.unique(coords, axis=0).shape[0])
         else:
             n_knots = min(options.knot_count, n)
-        knots = kmeans_knots(coords, n_knots, seed=options.seed)
+        knots = _fit_knots(coords, n_knots, options.seed)
     t2 = time.perf_counter()
     timings["knots"] = t2 - t1
     if knots is None:
@@ -211,7 +241,8 @@ def build_basis(coords, options: FitOptions, timings: dict | None = None) -> Eig
         basis = nystrom_basis(coords, knots, r, max_pairs=options.max_eigenpairs)
     timings["eigen"] = time.perf_counter() - t2
     knot_note = "no knots" if knots is None else (
-        f"{knots.count} knots after {knots.passes} passes (converged={knots.converged})")
+        f"{knots.count} knots from {knots.sites} sites after {knots.passes} passes "
+        f"(converged={knots.converged})")
     _log.debug("%s basis: range_r=%.6g, %s, L=%d, lambda_1=%.6g, lambda_L=%.6g", kind, r,
                knot_note, basis.n_pairs, basis.values[0], basis.values[-1])
     return basis

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ShapeMismatch, SizeGuardExceeded
-from .eigenbasis import nystrom_basis
+from .eigenbasis import NYSTROM_CHUNK, nystrom_basis
 from .geometry import kmeans_knots
 from .gwr import gwr_fit
 from .model import FitOptions, SpatialDataset, SvcFit, fit
@@ -139,7 +139,11 @@ def gen_large(config: SimConfig) -> SimInstance:
     alphas = np.where(np.arange(k) < n_large, config.alpha_large, config.alpha_small)
     gamma = rng.standard_normal((lam.shape[0], k))
     gamma *= np.sqrt(lam[:, None] ** alphas[None, :])
-    beta = 1.0 + basis.vectors @ gamma
+    # row blocks of the basis, never all N x L at once
+    beta = np.empty((n, k))
+    for lo in range(0, n, NYSTROM_CHUNK):
+        hi = min(lo + NYSTROM_CHUNK, n)
+        beta[lo:hi] = 1.0 + basis.rows(lo, hi) @ gamma
 
     X = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))]) if k > 1 \
         else np.ones((n, 1))

@@ -163,8 +163,8 @@ def test_criterion_4_stage_scaling():
 
     The sweep count is pinned (tol=0, max_sweeps=3), but that does not fix
     the estimation work: which coefficients collapse in a sweep depends on
-    the data, so this setup makes 220 likelihood evaluations and 8 cache
-    builds at N=10k against 259 and 10 at N=50k. The time per evaluation
+    the data, so this setup makes 221 likelihood evaluations and 8 cache
+    builds at N=10k against 235 and 10 at N=50k. The time per evaluation
     (cache builds included) is flat in N; the 1.5 bound on the stage ratio
     also absorbs that difference in work.
     """

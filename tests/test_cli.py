@@ -111,7 +111,7 @@ class TestFit:
         dh, dd = _read_table(str(sim_prefix) + ".data.csv")
         knots = kmeans_knots(dd[:, [dh.index("px"), dh.index("py")]], 40, seed=0)
         summary = json.loads((tmp_path / "nys.summary.json").read_text())
-        assert summary["knots"] == {"count": 40, "passes": knots.passes,
+        assert summary["knots"] == {"count": 40, "sites": 250, "passes": knots.passes,
                                     "converged": True}
         assert knots.passes > 1
 
@@ -132,9 +132,9 @@ class TestFit:
         lines = [r.getMessage() for r in caplog.records if "basis:" in r.getMessage()]
         knots = basis.knots
         assert lines == [
-            f"nystrom basis: range_r={basis.range_r:.6g}, 40 knots after {knots.passes} "
-            f"passes (converged=True), L={basis.n_pairs}, lambda_1={basis.values[0]:.6g}, "
-            f"lambda_L={basis.values[-1]:.6g}"]
+            f"nystrom basis: range_r={basis.range_r:.6g}, 40 knots from 250 sites after "
+            f"{knots.passes} passes (converged=True), L={basis.n_pairs}, "
+            f"lambda_1={basis.values[0]:.6g}, lambda_L={basis.values[-1]:.6g}"]
 
     def test_svc_subset(self, sim_prefix, tmp_path):
         # empty --svc keeps only the (always varying) intercept surface

@@ -156,6 +156,19 @@ class TestMstMaxEdge:
         pts = PRIM_CASES[name]
         assert mst_max_edge(pts) == prim_max_edge(pts)
 
+    @DETERMINISTIC
+    @given(data=_site_sets())
+    def test_equals_prim_oracle_on_generated_sites(self, data):
+        pts, distinct = data
+        if pts.shape[0] < 2:
+            with pytest.raises(ValueError, match="at least two sites"):
+                mst_max_edge(pts)
+        elif distinct == 1:
+            with pytest.raises(AllPointsCoincident):
+                mst_max_edge(pts)
+        else:
+            assert mst_max_edge(pts) == prim_max_edge(pts)
+
 
 class TestKmeansKnots:
     def test_one_point_per_cluster(self):
@@ -308,7 +321,7 @@ class TestKmeansKnots:
 
     def test_hand_built_knots(self):
         knots = geometry.KnotSet(centers=np.zeros((3, 2)))
-        assert (knots.count, knots.passes, knots.converged) == (3, 0, True)
+        assert (knots.count, knots.passes, knots.converged, knots.sites) == (3, 0, True, 0)
 
 
 class TestProximity:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from fastsvc.errors import DependentCovariates, InsufficientData, NonFiniteInput
+from fastsvc.errors import (DependentCovariates, InsufficientData, InvalidKnotCount,
+                            NonFiniteInput)
+from fastsvc.geometry import kmeans_knots
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.model import (
+    KNOT_SAMPLE_PER_KNOT,
     FitOptions,
     SpatialDataset,
     add_intercept,
@@ -162,6 +165,54 @@ class TestBuildBasis:
             basis = build_basis(coords, FitOptions(basis="nystrom"))
         assert basis.knots.count == 150 and basis.knots.converged
         assert not caplog.records
+
+
+def _knot_sample(coords, n_knots, seed):
+    """The documented sample: KNOT_SAMPLE_PER_KNOT sites per knot, drawn
+    without replacement from the seed's first spawned stream, in order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    size = KNOT_SAMPLE_PER_KNOT * n_knots
+    return coords[np.sort(rng.choice(coords.shape[0], size=size, replace=False))]
+
+
+class TestKnotSample:
+    def test_all_sites_at_the_bound(self):
+        # 5000 sites and 200 knots: exactly at the bound, so k-means gets them all
+        coords = np.random.default_rng(31).standard_normal((5000, 2))
+        assert 5000 == KNOT_SAMPLE_PER_KNOT * 200
+        knots = build_basis(coords, FitOptions(basis="nystrom", seed=3)).knots
+        expect = kmeans_knots(coords, 200, seed=3)
+        assert np.array_equal(knots.centers, expect.centers)
+        assert (knots.sites, knots.passes) == (5000, expect.passes)
+
+    def test_documented_sample_above_the_bound(self):
+        coords = np.random.default_rng(32).standard_normal((3000, 2))
+        options = FitOptions(basis="nystrom", knot_count=40, seed=5)
+        knots = build_basis(coords, options).knots
+        expect = kmeans_knots(_knot_sample(coords, 40, 5), 40, seed=5)
+        assert np.array_equal(knots.centers, expect.centers)
+        assert (knots.sites, knots.passes) == (1000, expect.passes)
+        assert knots.converged
+        assert np.array_equal(build_basis(coords, options).knots.centers, knots.centers)
+
+    def test_sample_short_of_distinct_sites_takes_all_sites(self):
+        # 41 distinct sites, one of them repeated 2960 times: a 1000-site
+        # sample holds about 14 of them, too few for 40 knots
+        rng = np.random.default_rng(33)
+        coords = np.vstack([np.zeros((2960, 2)), rng.standard_normal((40, 2))])
+        coords = coords[rng.permutation(3000)]
+        assert np.unique(_knot_sample(coords, 40, 0), axis=0).shape[0] < 40
+        knots = build_basis(coords, FitOptions(basis="nystrom", knot_count=40)).knots
+        assert np.array_equal(knots.centers, kmeans_knots(coords, 40, seed=0).centers)
+        assert knots.sites == 3000
+
+    def test_too_few_distinct_sites_still_raises(self):
+        coords = np.repeat(np.random.default_rng(34).standard_normal((30, 2)), 100, axis=0)
+        with pytest.raises(InvalidKnotCount) as direct:
+            kmeans_knots(coords, 40, seed=0)
+        with pytest.raises(InvalidKnotCount) as fitted:
+            build_basis(coords, FitOptions(basis="nystrom", knot_count=40))
+        assert str(fitted.value) == str(direct.value)
 
 
 class TestReconstruct:
