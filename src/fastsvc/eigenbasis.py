@@ -118,6 +118,30 @@ class EigenBasis:
         row on each access."""
         return self.rows(0, self.n_sites)
 
+    @property
+    def knot_scale(self) -> np.ndarray:
+        """``knot_vectors / (knot_values + 1)`` (knots x L): the factor that
+        maps a row of the corrected site-to-knot kernel to a basis row."""
+        return self.knot_vectors / (self.knot_values + 1.0)[None, :]
+
+    def times(self, coef: np.ndarray) -> np.ndarray:
+        """``vectors @ coef`` for an (L, J) ``coef``, ``ROW_CHUNK`` rows at a
+        time. An exact basis multiplies its stored rows, each chunk with the
+        scipy ``dgemm`` call of ``_knot_kernel_times``. A Nystrom basis
+        folds ``coef`` into the knot side first, ``knot_scale @ coef``
+        (knots x J), and multiplies the kernel rows by that, so no N x L
+        rows are formed; the result agrees with ``vectors @ coef`` to
+        rounding, not bit for bit."""
+        n = self.n_sites
+        if self.stored is None:
+            folded = blas.dgemm(1.0, coef.T, self.knot_scale.T).T
+            return _knot_kernel_times(self.sites, self, folded, ROW_CHUNK)
+        out = np.empty((n, coef.shape[1]))
+        for lo in range(0, n, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, n)
+            out[lo:hi] = blas.dgemm(1.0, coef.T, self.stored[lo:hi].T).T
+        return out
+
 
 def _double_center(C: np.ndarray) -> np.ndarray:
     # H C H for symmetric C, via row/column mean subtraction
@@ -194,28 +218,28 @@ def exact_basis(coords, range_r: float,
     )
 
 
-def _nystrom_rows(coords, knots: KnotSet, range_r: float,
-                  knot_vectors: np.ndarray, knot_values: np.ndarray,
-                  row_correction: np.ndarray, chunk: int = NYSTROM_CHUNK) -> np.ndarray:
-    """Evaluate the Nystrom eigenvector formula at arbitrary sites, chunked so
-    the site-to-knot kernel never exceeds chunk x L memory.
+def _knot_kernel_times(coords, basis: EigenBasis, right: np.ndarray,
+                       chunk: int) -> np.ndarray:
+    """``C_nl right`` for the row-corrected site-to-knot kernel ``C_nl`` of a
+    Nystrom basis at arbitrary sites, chunked so the kernel never exceeds
+    chunk x L memory. With ``right = basis.knot_scale`` these are the basis
+    rows; with ``knot_scale @ coef``, the rows times ``coef``.
 
     The product runs through scipy's BLAS, the library of ``compress``'s
     ``dsyrk``: numpy and scipy each load their own OpenBLAS, and a loop that
     alternates between the two thread pools ran about twice as slow on a
     2-core machine. Both operands are passed transposed, so Fortran-ordered
-    and uncopied; that is the column-major call numpy's ``C_nl @ scale``
+    and uncopied; that is the column-major call numpy's ``C_nl @ right``
     makes, and with the OpenBLAS builds numpy and scipy ship its rows equal
     numpy's bit for bit (the generated benchmark data did not change).
     """
     pts = as_coords(coords)
-    scale = knot_vectors / (knot_values + 1.0)[None, :]
-    out = np.empty((pts.shape[0], knot_vectors.shape[1]))
+    out = np.empty((pts.shape[0], right.shape[1]))
     for lo in range(0, pts.shape[0], chunk):
         hi = min(lo + chunk, pts.shape[0])
-        C_nl = proximity(pts[lo:hi], knots.centers, range_r)
-        C_nl -= row_correction[None, :]
-        out[lo:hi] = blas.dgemm(1.0, scale.T, C_nl.T).T
+        C_nl = proximity(pts[lo:hi], basis.knots.centers, basis.range_r)
+        C_nl -= basis.row_correction[None, :]
+        out[lo:hi] = blas.dgemm(1.0, right.T, C_nl.T).T
     return out
 
 
@@ -269,8 +293,7 @@ def basis_at(basis: EigenBasis, new_coords) -> np.ndarray:
     """
     if basis.kind != "nystrom" or basis.knots is None:
         raise MissingKnots("only a Nystrom basis can be evaluated at new sites")
-    return _nystrom_rows(new_coords, basis.knots, basis.range_r,
-                         basis.knot_vectors, basis.knot_values, basis.row_correction)
+    return _knot_kernel_times(new_coords, basis, basis.knot_scale, NYSTROM_CHUNK)
 
 
 def moran_coefficient(y, C: np.ndarray, tol: float = 1e-12) -> float:

@@ -14,10 +14,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from .compression import SvcDesign, _check_regression, compress
-from .eigenbasis import DEFAULT_MAX_PAIRS, ROW_CHUNK, EigenBasis, exact_basis, nystrom_basis
+from .eigenbasis import DEFAULT_MAX_PAIRS, EigenBasis, exact_basis, nystrom_basis
 from .errors import DependentCovariates, InsufficientData, InvalidKnotCount
 from .geometry import KnotSet, as_coords, kmeans_knots, mst_max_edge
 from .likelihood import ShrinkageParams, v_diag
@@ -156,13 +155,14 @@ def reconstruct_svc(basis: EigenBasis, b_hat: np.ndarray,
                     params: ShrinkageParams, u_hat: np.ndarray,
                     svc_flags) -> np.ndarray:
     """Coefficient surfaces ``beta_k = b_k 1 + E V_k u_k`` (constant rows for
-    non-varying coefficients), pulling the basis rows chunk by chunk.
+    non-varying coefficients).
 
-    Each chunk's product is scipy's ``dgemm`` on the transposed operands,
-    the call of the Nystrom rows it follows: numpy's ``@`` here woke a
-    second OpenBLAS thread pool per chunk and ran about 3.5x as slow on a
-    2-core machine. Nystrom surfaces equal numpy's bit for bit; the
-    column-major rows of an exact basis move at rounding level."""
+    The varying columns come from ``basis.times`` on the (L, K_v) matrix of
+    ``V_k u_k``: an exact basis multiplies its stored rows chunk by chunk,
+    equal bit for bit to the chunked ``rows @ coef`` through scipy's
+    ``dgemm``; a Nystrom basis multiplies its site-to-knot kernel by the
+    knot-side product (knots x K_v), which skips the N x knots x L product
+    of its rows and agrees with ``rows @ coef`` to rounding."""
     flags = np.asarray(svc_flags, dtype=bool).ravel()
     k = flags.shape[0]
     if b_hat.shape[0] != k:
@@ -171,11 +171,8 @@ def reconstruct_svc(basis: EigenBasis, b_hat: np.ndarray,
     coef = np.empty((basis.n_pairs, varying.size))
     for a in range(varying.size):
         coef[:, a] = v_diag(params.rho[a], params.alpha[a], basis.values) * u_hat[a]
-    n = basis.n_sites
-    beta = np.tile(b_hat, (n, 1))
-    for lo in range(0, n, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, n)
-        beta[lo:hi, varying] += blas.dgemm(1.0, coef.T, basis.rows(lo, hi).T).T
+    beta = np.tile(b_hat, (basis.n_sites, 1))
+    beta[:, varying] += basis.times(coef)
     return beta
 
 
@@ -212,8 +209,11 @@ def build_basis(coords, options: FitOptions, timings: dict | None = None) -> Eig
     (``range``), the knots (``knots``, 0 for an exact basis) and the
     eigendecomposition with its row extension (``eigen``). Knots come from
     ``_fit_knots``. One DEBUG line on the ``fastsvc`` logger describes the
-    basis: its kind, range, knots and the sites k-means ran on, pair count L
-    and eigenvalue spread ``lambda_1 .. lambda_L``."""
+    basis: its kind, range and where the range came from (``given`` in the
+    options, or the ``spanning tree`` of ``mst_max_edge``, whose own DEBUG
+    line precedes it when the tree came from the Delaunay fallback), knots
+    and the sites k-means ran on, pair count L and eigenvalue spread
+    ``lambda_1 .. lambda_L``."""
     timings = {} if timings is None else timings
     coords = as_coords(coords)
     n = coords.shape[0]
@@ -243,8 +243,9 @@ def build_basis(coords, options: FitOptions, timings: dict | None = None) -> Eig
     knot_note = "no knots" if knots is None else (
         f"{knots.count} knots from {knots.sites} sites after {knots.passes} passes "
         f"(converged={knots.converged})")
-    _log.debug("%s basis: range_r=%.6g, %s, L=%d, lambda_1=%.6g, lambda_L=%.6g", kind, r,
-               knot_note, basis.n_pairs, basis.values[0], basis.values[-1])
+    source = "spanning tree" if options.range_r is None else "given"
+    _log.debug("%s basis: range_r=%.6g (%s), %s, L=%d, lambda_1=%.6g, lambda_L=%.6g", kind,
+               r, source, knot_note, basis.n_pairs, basis.values[0], basis.values[-1])
     return basis
 
 

@@ -132,8 +132,8 @@ class TestFit:
         lines = [r.getMessage() for r in caplog.records if "basis:" in r.getMessage()]
         knots = basis.knots
         assert lines == [
-            f"nystrom basis: range_r={basis.range_r:.6g}, 40 knots from 250 sites after "
-            f"{knots.passes} passes (converged=True), L={basis.n_pairs}, "
+            f"nystrom basis: range_r={basis.range_r:.6g} (spanning tree), 40 knots from 250 "
+            f"sites after {knots.passes} passes (converged=True), L={basis.n_pairs}, "
             f"lambda_1={basis.values[0]:.6g}, lambda_L={basis.values[-1]:.6g}"]
 
     def test_svc_subset(self, sim_prefix, tmp_path):

@@ -39,6 +39,23 @@ def _prim_cases():
 PRIM_CASES = _prim_cases()
 
 
+def _fallback_cases():
+    """Sites whose nearest-neighbour graph splits at its lower bound, so the
+    kernel range comes from the Delaunay tree."""
+    rng = np.random.default_rng(22)
+    blob = rng.standard_normal((800, 2))
+    line = np.arange(300.0)
+    return {
+        "two_far_blobs": np.vstack([blob, blob[:400] + (60.0, 0.0)]),
+        "blob_and_distant_close_pair": np.vstack([blob, [(40.0, 40.0), (40.1, 40.0)]]),
+        "two_parallel_lines": np.column_stack([np.tile(line, 2),
+                                               np.repeat([0.0, 5.0], line.size)]),
+    }
+
+
+FALLBACK_CASES = _fallback_cases()
+
+
 def _lloyd_cases():
     rng = np.random.default_rng(21)
     grid = np.arange(40.0)
@@ -168,6 +185,24 @@ class TestMstMaxEdge:
                 mst_max_edge(pts)
         else:
             assert mst_max_edge(pts) == prim_max_edge(pts)
+
+    def test_certified_without_triangulation(self, monkeypatch, caplog):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the nearest-neighbour graph should certify these sites")
+
+        monkeypatch.setattr(geometry, "Delaunay", refuse)
+        pts = np.random.default_rng(23).standard_normal((5000, 2))
+        with caplog.at_level(logging.DEBUG, logger="fastsvc"):
+            assert mst_max_edge(pts) == prim_max_edge(pts)
+        assert not caplog.records
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+    def test_fallback_equals_prim_oracle(self, name, caplog):
+        pts = FALLBACK_CASES[name]
+        with caplog.at_level(logging.DEBUG, logger="fastsvc"):
+            assert mst_max_edge(pts) == prim_max_edge(pts)
+        [message] = [r.getMessage() for r in caplog.records]
+        assert "does not certify" in message and "using the Delaunay tree" in message
 
 
 class TestKmeansKnots:

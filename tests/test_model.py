@@ -4,7 +4,7 @@ import pytest
 from fastsvc.errors import (DependentCovariates, InsufficientData, InvalidKnotCount,
                             NonFiniteInput)
 from fastsvc.geometry import kmeans_knots
-from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
+from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik, v_diag
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.model import (
     KNOT_SAMPLE_PER_KNOT,
@@ -166,6 +166,14 @@ class TestBuildBasis:
         assert basis.knots.count == 150 and basis.knots.converged
         assert not caplog.records
 
+    @pytest.mark.parametrize("range_r,source", [(None, "spanning tree"), (2.0, "given")])
+    def test_debug_line_names_the_range_source(self, range_r, source, caplog):
+        coords = np.random.default_rng(24).standard_normal((300, 2))
+        with caplog.at_level("DEBUG", logger="fastsvc"):
+            basis = build_basis(coords, FitOptions(basis="exact", range_r=range_r))
+        [message] = [r.getMessage() for r in caplog.records if "basis:" in r.getMessage()]
+        assert message.startswith(f"exact basis: range_r={basis.range_r:.6g} ({source}), ")
+
 
 def _knot_sample(coords, n_knots, seed):
     """The documented sample: KNOT_SAMPLE_PER_KNOT sites per knot, drawn
@@ -240,6 +248,22 @@ class TestReconstruct:
         b = np.array([0.5, -1.0, 2.0])
         beta = reconstruct_svc(basis, b, params, u, design.svc_flags)
         np.testing.assert_allclose(beta.mean(axis=0), b, atol=1e-12)
+
+    def test_nystrom_surfaces_equal_rows_times_coefficients(self):
+        rng = np.random.default_rng(25)
+        coords = rng.uniform(0.0, 10.0, (2500, 2))
+        basis = build_basis(coords, FitOptions(basis="nystrom", knot_count=60))
+        flags = np.array([True, False, True])
+        params = ShrinkageParams(np.array([0.7, 1.3]), np.array([1.0, 0.5]))
+        u = rng.standard_normal((2, basis.n_pairs))
+        b = np.array([1.0, -2.0, 0.5])
+        beta = reconstruct_svc(basis, b, params, u, flags)
+        coef = np.column_stack([v_diag(params.rho[a], params.alpha[a], basis.values) * u[a]
+                                for a in range(2)])
+        want = np.tile(b, (2500, 1))
+        want[:, flags] += basis.vectors @ coef
+        assert np.abs(beta - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_array_equal(beta[:, 1], np.full(2500, -2.0))
 
 
 class TestResidualVariance:
