@@ -45,8 +45,9 @@ EXACT_SIZE_GUARD = 5000
 KNOT_SIZE_GUARD = 2000
 
 #: rows per chunk where a fit streams a basis (compression, reconstruction),
-#: so each chunk's arrays hold ROW_CHUNK x (columns) values
-ROW_CHUNK = 1024
+#: so each chunk's arrays hold ROW_CHUNK x (columns) values; fixed on memory:
+#: compress's ``dsyrk`` runs as fast on 256-row chunks as on 1024-row ones
+ROW_CHUNK = 256
 
 #: rows per block of one Nystrom evaluation; rows pulled in blocks of this
 #: size, aligned to it, repeat ``vectors`` bit for bit
@@ -77,8 +78,11 @@ class EigenBasis:
         The sites a Nystrom basis evaluates its rows at.
     knots : KnotSet or None
         Present only for the Nystrom kind.
-    knot_vectors, knot_values, row_correction
-        Nystrom ingredients, also used to evaluate the basis at new sites.
+    knot_scale, knot_values, row_correction
+        Nystrom ingredients, also used to evaluate the basis at new sites:
+        ``knot_scale`` is ``knot_vectors / (knot_values + 1)`` (knots x L),
+        the factor that maps a row of the corrected site-to-knot kernel to a
+        basis row, formed once when the basis is built.
     """
 
     values: np.ndarray
@@ -87,7 +91,7 @@ class EigenBasis:
     stored: np.ndarray | None = None
     sites: np.ndarray | None = None
     knots: KnotSet | None = None
-    knot_vectors: np.ndarray | None = None
+    knot_scale: np.ndarray | None = None
     knot_values: np.ndarray | None = None
     row_correction: np.ndarray | None = None
 
@@ -119,10 +123,10 @@ class EigenBasis:
         return self.rows(0, self.n_sites)
 
     @property
-    def knot_scale(self) -> np.ndarray:
-        """``knot_vectors / (knot_values + 1)`` (knots x L): the factor that
-        maps a row of the corrected site-to-knot kernel to a basis row."""
-        return self.knot_vectors / (self.knot_values + 1.0)[None, :]
+    def knot_vectors(self) -> np.ndarray:
+        """Eigenvectors of the knot kernel (knots x L), recovered from
+        ``knot_scale`` to rounding."""
+        return self.knot_scale * (self.knot_values + 1.0)[None, :]
 
     def times(self, coef: np.ndarray) -> np.ndarray:
         """``vectors @ coef`` for an (L, J) ``coef``, ``ROW_CHUNK`` rows at a
@@ -267,8 +271,8 @@ def nystrom_basis(coords, knots: KnotSet, range_r: float,
     # never divides by zero
     keep = _positive_descending(lam_hat, max_pairs)
 
-    knot_vectors = _fix_signs(V[:, keep])
     knot_values = w[keep].copy()
+    knot_scale = _fix_signs(V[:, keep]) / (knot_values + 1.0)[None, :]
     # column means of the unit-diagonal knot kernel
     row_correction = (C_l.sum(axis=0) + 1.0) / n_knots
     return EigenBasis(
@@ -277,7 +281,7 @@ def nystrom_basis(coords, knots: KnotSet, range_r: float,
         kind="nystrom",
         sites=pts.copy(),
         knots=knots,
-        knot_vectors=knot_vectors,
+        knot_scale=knot_scale,
         knot_values=knot_values,
         row_correction=row_correction,
     )

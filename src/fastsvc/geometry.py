@@ -22,6 +22,10 @@ _KMEANS_MAX_ITER = 100
 #: coverage and cost: at 8, 38 of the 39 seed-1/2/3 bench datasets certify
 RANGE_NEIGHBOURS = 8
 
+#: sites per block of the kernel range's neighbour query and edge pass; fixed
+#: on memory and time (see ``_knn_max_edge_sq``)
+RANGE_BLOCK = 1024
+
 _log = logging.getLogger("fastsvc")
 
 
@@ -68,6 +72,19 @@ def _delaunay_max_edge_sq(sites: np.ndarray, qhull_options: str | None) -> float
     return _tree_max_edge_sq(sites, rows[keep], neighbors[keep])
 
 
+def _block_edge_sq(sites: np.ndarray, lo: int, nbr: np.ndarray) -> np.ndarray:
+    """Squared lengths from sites ``lo:lo + len(nbr)`` to their neighbours
+    ``nbr`` by Prim's formula dx**2 + dy**2, the zero of an underflowing gap
+    raised as ``_tree_max_edge_sq`` raises it, and each site's edge to
+    itself set to inf."""
+    x, y = sites[:, 0], sites[:, 1]
+    hi = lo + nbr.shape[0]
+    d2 = (x[lo:hi, None] - x[nbr]) ** 2 + (y[lo:hi, None] - y[nbr]) ** 2
+    np.maximum(d2, np.finfo(np.float64).smallest_subnormal, out=d2)
+    d2[nbr == np.arange(lo, hi)[:, None]] = np.inf
+    return d2
+
+
 def _knn_max_edge_sq(sites: np.ndarray) -> tuple[float | None, int]:
     """The longest MST edge², certified on the ``RANGE_NEIGHBOURS``-nearest-
     neighbour graph of the distinct ``sites`` (None when the graph cannot
@@ -77,32 +94,73 @@ def _knn_max_edge_sq(sites: np.ndarray) -> tuple[float | None, int]:
     edge² is at least ``lb``, the largest over sites of each site's smallest
     squared length. When the neighbour edges no longer than ``lb`` connect
     every site, a spanning tree with no longer edge exists, so ``lb`` is the
-    answer. Lengths use Prim's formula dx**2 + dy**2 on the sites, with the
-    zero of an underflowing gap raised as ``_tree_max_edge_sq`` raises it.
-    ``lb`` is a lower bound only if the site that sets it has no nearer site
-    than its tree neighbours; that holds when its nearest found length is
-    below the square of the tree's farthest returned distance by a margin
-    far above the rounding of either."""
+    answer. Lengths come from ``_block_edge_sq``. ``lb`` is a lower bound
+    only if the site that sets it has no nearer site than its tree
+    neighbours; that holds when its nearest found length is below the
+    square of the tree's farthest returned distance by a margin far above
+    the rounding of either.
+
+    The graph is streamed in blocks of ``RANGE_BLOCK`` sites. A first pass
+    queries the tree, keeps the neighbours in an int32 table and ``lb`` as a
+    running maximum; a second pass recomputes each block's lengths and
+    compacts the edges no longer than ``lb`` into the front of that table,
+    which becomes the index array of a CSR graph grouped by row. So the
+    working set is the tree, the table and the graph's CSR arrays: O(N),
+    with no N-wide float array beyond the graph's unit weights."""
     # imported here: scipy.sparse.csgraph adds ~0.1 s to `import fastsvc`
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
     m = sites.shape[0]
-    dist, nbr = cKDTree(sites).query(sites, k=RANGE_NEIGHBOURS + 1)
-    x, y = sites[:, 0], sites[:, 1]
-    d2 = (x[:, None] - x[nbr]) ** 2 + (y[:, None] - y[nbr]) ** 2
-    np.maximum(d2, np.finfo(np.float64).smallest_subnormal, out=d2)
-    rows = np.broadcast_to(np.arange(m)[:, None], nbr.shape)
-    d2[nbr == rows] = np.inf
-    nearest = d2.min(axis=1)
-    top = int(np.argmax(nearest))
-    lb = float(nearest[top])
-    short = d2 <= lb
-    graph = csr_array((np.ones(np.count_nonzero(short)), (rows[short], nbr[short])),
-                      shape=(m, m))
+    nbr = np.empty((m, RANGE_NEIGHBOURS + 1), dtype=np.int32)
+    tree = cKDTree(sites)
+    lb, top_far = -1.0, 0.0
+    for lo in range(0, m, RANGE_BLOCK):
+        dist, nbr[lo:lo + RANGE_BLOCK] = tree.query(sites[lo:lo + RANGE_BLOCK],
+                                                    k=RANGE_NEIGHBOURS + 1)
+        nearest = _block_edge_sq(sites, lo, nbr[lo:lo + RANGE_BLOCK]).min(axis=1)
+        top = int(np.argmax(nearest))
+        # the first site to reach the maximum sets it, as one argmax would
+        if nearest[top] > lb:
+            lb, top_far = float(nearest[top]), float(dist[top, -1])
+    del tree
+
+    flat = nbr.reshape(-1)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    nnz = 0
+    for lo in range(0, m, RANGE_BLOCK):
+        block = nbr[lo:lo + RANGE_BLOCK]
+        short = _block_edge_sq(sites, lo, block) <= lb
+        kept = block[short]
+        # rows before lo kept at most their own entries, so this writes
+        # behind the rows still to be read
+        flat[nnz:nnz + kept.size] = kept
+        indptr[lo + 1:lo + 1 + block.shape[0]] = nnz + np.cumsum(short.sum(axis=1))
+        nnz += kept.size
+    graph = csr_array((np.ones(nnz), flat[:nnz], indptr), shape=(m, m))
     components = connected_components(graph, directed=False, return_labels=False)
-    certified = components == 1 and lb < dist[top, -1] ** 2 * (1.0 - 1e-12)
+    certified = components == 1 and lb < top_far ** 2 * (1.0 - 1e-12)
     return (lb if certified else None), components
+
+
+def distinct_sites(pts: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (N, 2) array in lexicographic order, equal to
+    ``np.unique(pts, axis=0)`` as ``==`` compares (rows that differ only in
+    a zero's sign count as one). Rows already strictly increasing are
+    returned as they are; otherwise one ``np.lexsort`` and a compare of
+    adjacent rows find them, without ``np.unique``'s sort of rows as a
+    structured dtype."""
+    x, y = pts[:, 0], pts[:, 1]
+    dx = np.diff(x)
+    if np.all((dx > 0.0) | ((dx == 0.0) & (np.diff(y) > 0.0))):
+        return pts
+    ordered = pts[np.lexsort((y, x))]
+    x, y = ordered[:, 0], ordered[:, 1]
+    keep = np.empty(x.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    keep[1:] |= y[1:] != y[:-1]
+    return ordered if keep.all() else ordered[keep]
 
 
 def mst_max_edge(coords) -> float:
@@ -146,7 +204,7 @@ def mst_max_edge(coords) -> float:
     if pts.shape[0] < 2:
         raise ValueError("need at least two sites for a spanning tree")
 
-    sites = np.unique(pts, axis=0)
+    sites = distinct_sites(pts)
     m = sites.shape[0]
     if m < 2:
         raise AllPointsCoincident("all sites coincide; kernel range would be zero")

@@ -18,7 +18,7 @@ import numpy as np
 from .compression import SvcDesign, _check_regression, compress
 from .eigenbasis import DEFAULT_MAX_PAIRS, EigenBasis, exact_basis, nystrom_basis
 from .errors import DependentCovariates, InsufficientData, InvalidKnotCount
-from .geometry import KnotSet, as_coords, kmeans_knots, mst_max_edge
+from .geometry import KnotSet, as_coords, distinct_sites, kmeans_knots, mst_max_edge
 from .likelihood import ShrinkageParams, v_diag
 from .sequential import FitTrace, fit_sequential
 
@@ -205,33 +205,39 @@ def build_basis(coords, options: FitOptions, timings: dict | None = None) -> Eig
     """Eigenbasis per the options: range from the spanning tree unless
     overridden, exact for modest N or knots + Nystrom otherwise.
 
-    ``timings``, when given, receives the wall seconds of the kernel range
-    (``range``), the knots (``knots``, 0 for an exact basis) and the
-    eigendecomposition with its row extension (``eigen``). Knots come from
-    ``_fit_knots``. One DEBUG line on the ``fastsvc`` logger describes the
-    basis: its kind, range and where the range came from (``given`` in the
-    options, or the ``spanning tree`` of ``mst_max_edge``, whose own DEBUG
-    line precedes it when the tree came from the Delaunay fallback), knots
-    and the sites k-means ran on, pair count L and eigenvalue spread
-    ``lambda_1 .. lambda_L``."""
+    The distinct sites are found once (``distinct_sites``), when the range
+    or the default knot count ``min(200, distinct sites)`` needs them, and
+    the range is taken on them, which finds them already distinct in O(N).
+    ``timings``, when given, receives the wall seconds of that pass and the
+    kernel range (``range``), the knots (``knots``, 0 for an exact basis)
+    and the eigendecomposition with its row extension (``eigen``). Knots
+    come from ``_fit_knots``. One DEBUG line on the ``fastsvc`` logger
+    describes the basis: its kind, range and where the range came from
+    (``given`` in the options, or the ``spanning tree`` of ``mst_max_edge``,
+    whose own DEBUG line precedes it when the tree came from the Delaunay
+    fallback), knots and the sites k-means ran on, pair count L and
+    eigenvalue spread ``lambda_1 .. lambda_L``."""
     timings = {} if timings is None else timings
     coords = as_coords(coords)
     n = coords.shape[0]
-    t0 = time.perf_counter()
-    r = options.range_r
-    if r is None:
-        r = mst_max_edge(coords)
-    t1 = time.perf_counter()
-    timings["range"] = t1 - t0
     kind = options.basis
     if kind == "auto":
         kind = "exact" if n <= AUTO_EXACT_LIMIT else "nystrom"
+    default_knots = kind == "nystrom" and options.knot_count is None
+    t0 = time.perf_counter()
+    r, distinct = options.range_r, None
+    if r is None or default_knots:
+        sites = distinct_sites(coords)
+        distinct = sites.shape[0]
+        if r is None:
+            # a single distinct site goes in as given, so that the range
+            # raises AllPointsCoincident
+            r = mst_max_edge(sites if distinct > 1 else coords)
+    t1 = time.perf_counter()
+    timings["range"] = t1 - t0
     knots = None
     if kind == "nystrom":
-        if options.knot_count is None:
-            n_knots = min(200, np.unique(coords, axis=0).shape[0])
-        else:
-            n_knots = min(options.knot_count, n)
+        n_knots = min(200, distinct) if default_knots else min(options.knot_count, n)
         knots = _fit_knots(coords, n_knots, options.seed)
     t2 = time.perf_counter()
     timings["knots"] = t2 - t1

@@ -1,4 +1,5 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from fastsvc import geometry
 from fastsvc.errors import AllPointsCoincident, InvalidKnotCount, NonPositiveRange
-from fastsvc.geometry import kmeans_knots, mst_max_edge, proximity
+from fastsvc.geometry import distinct_sites, kmeans_knots, mst_max_edge, proximity
 
 from oracles import lloyd_kmeans, minimax_spanning_edge, naive_pairwise, prim_max_edge
 
@@ -203,6 +204,52 @@ class TestMstMaxEdge:
             assert mst_max_edge(pts) == prim_max_edge(pts)
         [message] = [r.getMessage() for r in caplog.records]
         assert "does not certify" in message and "using the Delaunay tree" in message
+
+    @DETERMINISTIC
+    @given(data=_site_sets(), block=st.integers(1, 6))
+    def test_small_blocks_equal_prim_oracle_on_generated_sites(self, data, block):
+        # lattices and lines tie many lengths; every block edge falls
+        # somewhere among them
+        pts, distinct = data
+        if distinct < 2:
+            return
+        sites = distinct_sites(pts)
+        # the certificate and its component count in one block
+        whole = (geometry._knn_max_edge_sq(sites)
+                 if distinct > geometry.RANGE_NEIGHBOURS + 1 else None)
+        with mock.patch.object(geometry, "RANGE_BLOCK", block):
+            assert mst_max_edge(pts) == prim_max_edge(pts)
+            if whole is not None:
+                assert geometry._knn_max_edge_sq(sites) == whole
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+    def test_small_blocks_keep_the_fallback(self, name, monkeypatch, caplog):
+        monkeypatch.setattr(geometry, "RANGE_BLOCK", 7)
+        pts = FALLBACK_CASES[name]
+        with caplog.at_level(logging.DEBUG, logger="fastsvc"):
+            assert mst_max_edge(pts) == prim_max_edge(pts)
+        [message] = [r.getMessage() for r in caplog.records]
+        assert "does not certify" in message and "using the Delaunay tree" in message
+
+
+class TestDistinctSites:
+    @DETERMINISTIC
+    @given(data=_site_sets(), order=st.randoms(use_true_random=False))
+    def test_equals_numpy_unique(self, data, order):
+        pts, distinct = data
+        shuffled = pts[order.sample(range(pts.shape[0]), pts.shape[0])]
+        got = distinct_sites(shuffled)
+        assert got.shape == (distinct, 2)
+        assert np.array_equal(got, np.unique(pts, axis=0))
+        # distinct rows in order come back as they are
+        assert distinct_sites(got) is got
+
+    def test_signed_zeros_count_once(self):
+        pts = np.array([(0.0, 1.0), (-0.0, 1.0), (-0.0, -0.0), (1.0, -0.0),
+                        (0.0, 0.0), (1.0, 0.0), (-1e6, 0.0), (-1e6, -0.0)])
+        got = distinct_sites(pts)
+        assert np.array_equal(got, np.unique(pts, axis=0))
+        assert got.shape == (4, 2)
 
 
 class TestKmeansKnots:

@@ -1,7 +1,9 @@
 """A fit streams its Nystrom basis: compression holds one chunk buffer, one
 chunk of basis rows and the Gram, and the fit's peak memory grows by much
 less than one basis row per site. The coordinate ascent holds one penalized
-system and nothing else with m rows.
+system and nothing else with m rows. The kernel range holds its sites, an
+int32 neighbour table and the graph of its kept edges, and no N-wide float
+array of the neighbour distances.
 
 Every budget is counted from the shapes of the arrays the code makes.
 """
@@ -9,14 +11,18 @@ Every budget is counted from the shapes of the arrays the code makes.
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from fastsvc import geometry
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.eigenbasis import ROW_CHUNK, nystrom_basis
+from fastsvc.geometry import RANGE_NEIGHBOURS, mst_max_edge
 from fastsvc.model import FitOptions, SpatialDataset, build_basis, fit
 from fastsvc.sequential import fit_sequential
 
 OPTIONS = FitOptions(basis="nystrom", knot_count=100, max_sweeps=1, tol=0.0)
 DOUBLE = 8  # bytes
+INT32 = 4
 
 
 def _dataset(n, seed=0, k=2):
@@ -57,6 +63,22 @@ def _estimate_budget(m, L):
     ``getbufsize`` elements for each of three operands, which the strided
     gather of the Gram fills."""
     return (m * m + 6 * L * L + 16 * m + 3 * np.getbufsize()) * DOUBLE
+
+
+def _range_budget(m, block):
+    """Bytes ``mst_max_edge`` may hold on m distinct sites that the
+    neighbour graph certifies, in blocks of ``block`` sites: the sorted
+    distinct sites; the int32 table of RANGE_NEIGHBOURS + 1 neighbours per
+    site; the kd-tree's int64 index array; at most RANGE_NEIGHBOURS kept
+    edges per site, each with its unit weight and, in the transposed copy
+    ``connected_components`` makes, a weight and an int32 index; three int32
+    arrays of m + 1 (the two index pointers and the labels); and six
+    block-by-neighbour arrays of doubles (the query's distances and indices,
+    and the temporaries of the lengths)."""
+    k = RANGE_NEIGHBOURS + 1
+    held = m * 2 * DOUBLE + m * k * INT32 + m * DOUBLE
+    graph = RANGE_NEIGHBOURS * m * (2 * DOUBLE + INT32) + 3 * (m + 1) * INT32
+    return held + graph + 6 * block * k * DOUBLE
 
 
 def _design(ds, vectors, basis):
@@ -103,3 +125,17 @@ def test_fit_sequential_holds_one_system_and_no_block_of_m_rows():
     fit_sequential(moments, tol=0.0, max_sweeps=1)  # first calls import lazily
     _, peak = _peak(fit_sequential, moments, None, 0.0, 1)
     assert peak <= _estimate_budget(m, L)
+
+
+@pytest.mark.parametrize("block", [geometry.RANGE_BLOCK, 100])
+def test_range_holds_its_table_and_graph(monkeypatch, block):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the nearest-neighbour graph should certify these sites")
+
+    coords = _dataset(6000).coords
+    want = mst_max_edge(coords)  # and the first call imports lazily
+    monkeypatch.setattr(geometry, "Delaunay", refuse)
+    monkeypatch.setattr(geometry, "RANGE_BLOCK", block)
+    got, peak = _peak(mst_max_edge, coords)
+    assert got == want
+    assert peak <= _range_budget(coords.shape[0], block)

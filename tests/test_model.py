@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fastsvc.errors import (DependentCovariates, InsufficientData, InvalidKnotCount,
-                            NonFiniteInput)
-from fastsvc.geometry import kmeans_knots
+from fastsvc.errors import (AllPointsCoincident, DependentCovariates, FastSvcError,
+                            InsufficientData, InvalidKnotCount, NonFiniteInput)
+from fastsvc.geometry import kmeans_knots, mst_max_edge
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik, v_diag
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.model import (
@@ -166,6 +170,24 @@ class TestBuildBasis:
         assert basis.knots.count == 150 and basis.knots.converged
         assert not caplog.records
 
+    def test_one_sort_serves_the_range_and_the_knot_count(self, monkeypatch):
+        coords = np.random.default_rng(26).standard_normal((3000, 2))
+        want = mst_max_edge(coords)
+        sorts, lexsort = [], np.lexsort
+
+        def counted(keys):
+            sorts.append(len(keys[0]))
+            return lexsort(keys)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called while building the basis")
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        monkeypatch.setattr(np, "unique", refuse)
+        basis = build_basis(coords, FitOptions(basis="nystrom"))
+        assert sorts == [3000]
+        assert basis.range_r == want and basis.knots.count == 200
+
     @pytest.mark.parametrize("range_r,source", [(None, "spanning tree"), (2.0, "given")])
     def test_debug_line_names_the_range_source(self, range_r, source, caplog):
         coords = np.random.default_rng(24).standard_normal((300, 2))
@@ -173,6 +195,69 @@ class TestBuildBasis:
             basis = build_basis(coords, FitOptions(basis="exact", range_r=range_r))
         [message] = [r.getMessage() for r in caplog.records if "basis:" in r.getMessage()]
         assert message.startswith(f"exact basis: range_r={basis.range_r:.6g} ({source}), ")
+
+
+#: the same examples on every run, few enough for the fast tier
+DETERMINISTIC = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def _degenerate_designs(draw):
+    """A dataset on duplicated, collinear or clustered sites, at N = K + 2
+    or a little above, with or without a 1e6 offset, and basis options."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.sampled_from([k + 2, k + 3, 12, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    shape = draw(st.sampled_from(["duplicated", "collinear", "clustered"]))
+    if shape == "duplicated":
+        sites = rng.standard_normal((draw(st.integers(1, 4)), 2))
+        coords = sites[rng.integers(0, sites.shape[0], n)]
+    elif shape == "collinear":
+        coords = np.outer(rng.integers(-6, 7, n), draw(st.sampled_from(
+            [(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)])))
+    else:
+        centers = 50.0 * rng.standard_normal((draw(st.integers(1, 3)), 2))
+        coords = (centers[rng.integers(0, centers.shape[0], n)]
+                  + 1e-3 * rng.standard_normal((n, 2)))
+    if draw(st.booleans()):
+        coords = coords + 1e6
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
+    y = X.sum(axis=1) + rng.standard_normal(n)
+    ds = SpatialDataset(coords=coords, y=y, X=X, svc_flags=np.ones(k, bool))
+    basis = draw(st.sampled_from(["exact", "nystrom"]))
+    knots = draw(st.one_of(st.none(), st.integers(1, n))) if basis == "nystrom" else None
+    return ds, FitOptions(basis=basis, knot_count=knots, seed=0)
+
+
+def _basis_and_moments(ds, options):
+    basis = build_basis(ds.coords, options)
+    design = SvcDesign(X=ds.X, y=ds.y, vectors=basis, values=basis.values,
+                       svc_flags=ds.svc_flags)
+    return basis, compress(design)
+
+
+class TestDegenerateSites:
+    @DETERMINISTIC
+    @given(case=_degenerate_designs())
+    def test_repeats_bit_for_bit_or_raises_a_typed_error(self, case):
+        ds, options = case
+        try:
+            basis, moments = _basis_and_moments(ds, options)
+        except FastSvcError as error:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                _basis_and_moments(ds, options)
+            return
+        again, repeated = _basis_and_moments(ds, options)
+        assert np.isfinite(moments.gram).all()
+        assert basis.range_r == again.range_r
+        assert np.array_equal(basis.values, again.values)
+        assert np.array_equal(basis.vectors, again.vectors)
+        for name in ("gram", "gy", "yty"):
+            assert np.array_equal(getattr(moments, name), getattr(repeated, name))
+
+    def test_one_distinct_site_raises(self):
+        with pytest.raises(AllPointsCoincident):
+            build_basis(np.full((12, 2), 1e6), FitOptions(basis="nystrom"))
 
 
 def _knot_sample(coords, n_knots, seed):
