@@ -78,7 +78,12 @@ class NegativeResidualNorm(FastSvcError):
 # -- sequential estimator ---------------------------------------------------
 
 class SingularBlock(FastSvcError):
-    """Off-target block system numerically singular during cache build."""
+    """Off-target block system numerically singular during cache build.
+
+    The system is factored in pieces, one Schur complement at a time, and
+    each piece is guarded on its own; a piece is at least as well
+    conditioned as the whole system, so this is raised on the first piece
+    that is singular, which can pass where the whole system would not."""
 
 
 class SingularInnerMatrix(FastSvcError):

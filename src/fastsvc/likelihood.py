@@ -17,8 +17,9 @@ residual sum of squares ``d = y'y - z'(s o W'y)`` at the solve ``z`` of the
 shrinkage-scaled system ``P z = s o W'y``; with ``P = F F'`` it is
 ``y'y - |F^{-1}(s o W'y)|^2``, read off one forward substitution (the
 penalized least-squares form of lme4, Bates et al., JSS 2015).
-``_penalized_solve`` forms, factors and forward-substitutes that system for
-this route and for the per-target cache of ``sequential``.
+``_penalized_solve`` forms, factors and forward-substitutes that system;
+``_factor_penalized``, its core, also factors the pieces that ``sequential``
+eliminates to build its per-target caches.
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ def spd_factor(P: np.ndarray, error: type = SingularP, anorm: float | None = Non
     ``((factor, lower), logdet)``; the factor's other triangle still holds
     entries of ``P``. Raises ``error`` when the factorization fails or the
     reciprocal 1-norm condition estimate falls below ``RCOND_LIMIT``.
+
+    The guard judges the matrix it is given. A coordinate step's caches
+    factor the target-free system in Schur-complement pieces
+    (``sequential._eliminate``), each guarded here; a Schur complement is at
+    least as well conditioned as the matrix it comes from, so a system whose
+    whole factor fails the limit can pass piece by piece.
     """
     a = P if P.flags.f_contiguous else P.T
     if anorm is None:
@@ -220,19 +227,80 @@ def direct_restricted_loglik(design: SvcDesign, params: ShrinkageParams) -> Like
     )
 
 
-def _penalized_solve(moments: CompressedMoments, params: ShrinkageParams,
-                     error: type, target: int | None = None):
+def _merged(ranges) -> list:
+    """Non-empty slices in increasing order, adjacent ones joined."""
+    out = []
+    for r in ranges:
+        if r.start == r.stop:
+            continue
+        if out and out[-1].stop == r.start:
+            out[-1] = slice(out[-1].start, r.stop)
+        else:
+            out.append(r)
+    return out
+
+
+def _gather(gram: np.ndarray, rows: list, cols: list,
+            col_scale: np.ndarray | None = None) -> np.ndarray:
+    """Fortran-ordered copy of ``gram`` restricted to the slices ``rows`` and
+    ``cols``, with its columns multiplied by ``col_scale`` when given.
+
+    One copy per pair of ranges: a fancy-index gather of the kept rows and
+    columns cost as much as the pruning saves at m = 1600.
+    """
+    def spans(ranges):
+        stops = np.cumsum([r.stop - r.start for r in ranges])
+        return [slice(hi - (r.stop - r.start), hi) for r, hi in zip(ranges, stops)]
+
+    row_spans, col_spans = spans(rows), spans(cols)
+    out = np.empty((row_spans[-1].stop, col_spans[-1].stop), order="F")
+    for r, out_r in zip(rows, row_spans):
+        for c, out_c in zip(cols, col_spans):
+            if col_scale is None:
+                out[out_r, out_c] = gram[r, c]
+            else:
+                np.multiply(gram[r, c], col_scale[out_c], out=out[out_r, out_c])
+    return out
+
+
+def _squares(y: np.ndarray) -> np.longdouble:
+    """``|y|^2`` summed in extended precision: it is subtracted from a
+    residual norm that it almost cancels near good fits."""
+    y_ext = y.astype(np.longdouble)
+    return y_ext @ y_ext
+
+
+def _factor_penalized(gram: np.ndarray, gy: np.ndarray, ranges: list, s: np.ndarray,
+                      n_fixed: int, error: type):
+    """Factor the scaled, penalized system on the Gram's ``ranges`` and
+    forward-substitute its moments.
+
+    The system is ``P = diag(s) G diag(s)`` plus 1 on every diagonal after
+    the first ``n_fixed``, with ``G`` the Gram restricted to ``ranges``
+    (merged slices, in order) and ``s`` the scale of its columns. It is
+    factored in place as ``P = F F'``, and ``y_f = F^{-1} (s o gy)`` on the
+    same columns. Returns ``(F, ln|P|, y_f)``; ``F`` is lower triangular and
+    its other triangle holds entries of ``P``. ``error`` is raised when
+    ``P`` is singular.
+    """
+    P = _gather(gram, ranges, ranges, s)
+    P *= s[:, None]
+    penalized = np.arange(n_fixed, s.shape[0])
+    P[penalized, penalized] += 1.0
+    (F, _), logdet = spd_factor(P, error=error)
+    y_f = blas.dtrsv(F, s * np.concatenate([gy[r] for r in ranges]), lower=1)
+    return F, logdet, y_f
+
+
+def _penalized_solve(moments: CompressedMoments, params: ShrinkageParams, error: type):
     """Factor the scaled, penalized Gram system and forward-substitute its moments.
 
     The system is ``P = diag(s) gram diag(s)`` plus 1 on every random-effect
-    diagonal, with ``s = scale_vector(moments, params)``. A ``target``'s
-    block is left unscaled and unpenalized (the target-free system of a
-    coordinate step) and is laid out last. Any other random-effect block
-    whose scale is identically zero (rho = 0) is an identity block of ``P``
-    with no coupling and no moment, so it is left out: its ln|P| term and its
-    solve are 0. The kept Gram ranges are copied pairwise into one
-    Fortran-ordered matrix, which is factored in place as ``P = F F'``, and
-    the moments are forward-substituted once, ``y_f = F^{-1} (s o W'y)``.
+    diagonal, with ``s = scale_vector(moments, params)``. A random-effect
+    block whose scale is identically zero (rho = 0) is an identity block of
+    ``P`` with no coupling and no moment, so it is left out: its ln|P| term
+    and its solve are 0. ``_factor_penalized`` factors what is kept as
+    ``P = F F'`` and forward-substitutes ``y_f = F^{-1} (s o W'y)``.
 
     Returns ``(F, ln|P|, y_f, d, kept)``: ``F`` is lower triangular (its
     other triangle holds entries of ``P``), ``d = y'y - |y_f|^2`` is summed
@@ -240,38 +308,14 @@ def _penalized_solve(moments: CompressedMoments, params: ShrinkageParams,
     columns in the system's order. ``error`` is raised when ``P`` is
     singular.
     """
-    k, L = moments.n_cov, moments.n_basis
     s = scale_vector(moments, params)
     blocks = [moments.block(a) for a in range(moments.k_varying)
-              if a != target and s[moments.block(a)].any()]
-    if target is not None:
-        blocks.append(moments.block(target))
-        s[blocks[-1]] = 1.0
-    ranges = [slice(0, k)]
-    for block in blocks:  # merge the ranges that are adjacent in the Gram
-        if ranges[-1].stop == block.start:
-            ranges[-1] = slice(ranges[-1].start, block.stop)
-        else:
-            ranges.append(block)
+              if s[moments.block(a)].any()]
+    ranges = _merged([slice(0, moments.n_cov)] + blocks)
     kept = np.concatenate([np.arange(r.start, r.stop) for r in ranges])
-    sk = s[kept]
-    size = kept.shape[0]
-
-    # one multiply per pair of ranges: a fancy-index gather of the kept
-    # rows and columns cost as much as the pruning saves at m = 1600
-    P = np.empty((size, size), order="F")
-    stops = np.cumsum([r.stop - r.start for r in ranges])
-    spans = [slice(hi - (r.stop - r.start), hi) for r, hi in zip(ranges, stops)]
-    for rows, out_rows in zip(ranges, spans):
-        for cols, out_cols in zip(ranges, spans):
-            np.multiply(moments.gram[rows, cols], sk[out_cols], out=P[out_rows, out_cols])
-    P *= sk[:, None]
-    penalized = np.arange(k, size - (0 if target is None else L))
-    P[penalized, penalized] += 1.0
-    (F, _), logdet = spd_factor(P, error=error)
-    y_f = blas.dtrsv(F, sk * moments.gy[kept], lower=1)
-    y_ext = y_f.astype(np.longdouble)
-    residual = float(np.longdouble(moments.yty) - y_ext @ y_ext)
+    F, logdet, y_f = _factor_penalized(moments.gram, moments.gy, ranges, s[kept],
+                                       moments.n_cov, error)
+    residual = float(np.longdouble(moments.yty) - _squares(y_f))
     return F, logdet, y_f, residual, kept
 
 

@@ -100,6 +100,7 @@ def test_compress_holds_one_chunk_and_matches_the_array_route():
 
 
 def test_fit_peak_does_not_hold_the_basis():
+    mst_max_edge(_dataset(100).coords)  # the range imports scipy.sparse.csgraph lazily
     peaks, fits = {}, {}
     for n in (3000, 6000):
         ds = _dataset(n)

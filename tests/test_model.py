@@ -260,6 +260,44 @@ class TestDegenerateSites:
             build_basis(np.full((12, 2), 1e6), FitOptions(basis="nystrom"))
 
 
+def _near_dependent_dataset(n=300, seed=3):
+    """A dataset whose third covariate is the second plus a direction
+    orthogonal to the first two, scaled so that the smallest singular value
+    of X is about 1.4 times numpy's ``matrix_rank`` tolerance: X has full
+    rank at that tolerance, and X'X is singular in double precision."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 10.0, (n, 2))
+    x1 = rng.standard_normal(n)
+    base = np.column_stack([np.ones(n), x1])
+    z = rng.standard_normal(n)
+    z -= base @ np.linalg.lstsq(base, z, rcond=None)[0]
+    z /= np.linalg.norm(z)
+    tol = (np.linalg.svd(np.column_stack([base, x1]), compute_uv=False).max()
+           * n * np.finfo(float).eps)
+    X = np.column_stack([base, x1 + 2.0 * tol * z])
+    assert np.linalg.matrix_rank(X) == 3
+    y = X[:, :2].sum(axis=1) + np.sin(coords[:, 0]) + 0.3 * rng.standard_normal(n)
+    return SpatialDataset(coords=coords, y=y, X=X, svc_flags=np.ones(3, bool))
+
+
+class TestNearDependentCovariates:
+    @pytest.mark.parametrize("basis", ["exact", "nystrom"])
+    def test_fits_bit_for_bit_or_raises_a_typed_error(self, basis):
+        ds = _near_dependent_dataset()
+        options = FitOptions(basis=basis, seed=0)
+        try:
+            first = fit(ds, options)
+        except FastSvcError as error:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                fit(ds, options)
+            return
+        again = fit(ds, options)
+        assert first.loglik == again.loglik
+        np.testing.assert_array_equal(first.beta_surfaces, again.beta_surfaces)
+        np.testing.assert_array_equal(first.params.rho, again.params.rho)
+        np.testing.assert_array_equal(first.params.alpha, again.params.alpha)
+
+
 def _knot_sample(coords, n_knots, seed):
     """The documented sample: KNOT_SAMPLE_PER_KNOT sites per knot, drawn
     without replacement from the seed's first spawned stream, in order."""

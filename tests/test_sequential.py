@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from fastsvc.errors import InsufficientData, SingularInnerMatrix
+from fastsvc.errors import InsufficientData, SingularBlock, SingularInnerMatrix
 from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
 from fastsvc.model import FitOptions, fit
 from fastsvc.sequential import (
@@ -86,8 +86,11 @@ class TestBuildCache:
 
     def test_off_target_zero_ratio_drops_its_block(self, monkeypatch):
         # a collapsed off-target coefficient is an identity block with no
-        # coupling: the cache build factors the system without it
+        # coupling: the cache build eliminates the fixed block and the other
+        # off-target block without it, then factors the target's conditional
+        # Gram, and the collapsed block is never factored
         import fastsvc.likelihood as likelihood
+        import fastsvc.sequential as sequential
 
         moments, params = _instance(8)
         frozen = params.with_entry(0, 0.0, 1.0)
@@ -100,9 +103,11 @@ class TestBuildCache:
             return spd_factor(P, error=error)
 
         monkeypatch.setattr(likelihood, "spd_factor", recorded)
+        monkeypatch.setattr(sequential, "spd_factor", recorded)
         cache = build_cache(moments, frozen, target)
         m, L = moments.size, moments.n_basis
-        assert shapes == [(m - L, m - L)]
+        assert moments.k_varying == 3
+        assert shapes == [(m - 2 * L, m - 2 * L), (L, L)]
 
         R, rhs = target_free_system(moments, frozen, target)
         dense = np.linalg.inv(R)
@@ -139,6 +144,77 @@ class TestBuildCache:
         assert cache.t_lower.shape == (L, L)
         arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
         assert all(a.shape[0] != small.size for a in arrays)
+
+
+class TestSingularBlock:
+    @staticmethod
+    def _moments(defect):
+        from fastsvc.compression import SvcDesign, compress
+
+        _, basis, design, _ = random_instance(17, n=80, k=3, max_pairs=8)
+        X, vectors = design.X.copy(), design.vectors.copy()
+        if defect == "collinear fixed covariates":
+            X[:, 2] = 2.0 * X[:, 1]
+        elif defect == "duplicated basis column":
+            vectors[:, 1] = vectors[:, 0]
+        moments = compress(SvcDesign(X=X, y=design.y, vectors=vectors,
+                                     values=design.values, svc_flags=design.svc_flags))
+        params = ShrinkageParams.constant(moments.k_varying)
+        if defect == "off-target ratio overflow":
+            params = params.with_entry(1, 1e9, 4.0)
+        return moments, params
+
+    @pytest.mark.parametrize("defect", ["collinear fixed covariates",
+                                        "duplicated basis column",
+                                        "off-target ratio overflow"])
+    def test_singular_off_target_system_raises_singular_block(self, defect):
+        # the fixed block, a target block or an off-target block makes the
+        # target-free system singular: the standalone build and the fit's
+        # tree of eliminations raise the typed error, never LinAlgError
+        moments, params = self._moments(defect)
+        with pytest.raises(SingularBlock):
+            build_cache(moments, params, 0)
+        with pytest.raises(SingularBlock):
+            fit_sequential(moments, params)
+
+
+class TestSweepTree:
+    @pytest.mark.parametrize("k, seed", [(3, 1), (5, 0)])
+    def test_every_leaf_cache_equals_the_standalone_build(self, monkeypatch, k, seed):
+        # a sweep's caches come from one tree of eliminations; each step's
+        # leaf holds its target's block alone, and its cache is the one the
+        # standalone build makes at that step's parameters, also after a
+        # coefficient of the first half collapses and is dropped from the
+        # second half's elimination
+        import fastsvc.sequential as sequential
+
+        moments, params = _instance(seed, k=k)
+        built = []
+
+        def recorded(cond, params, target):
+            cache = build_cache(cond, params, target)
+            built.append((cond, params, target, cache))
+            return cache
+
+        monkeypatch.setattr(sequential, "build_cache", recorded)
+        _, _, trace = fit_sequential(moments, params, max_sweeps=2)
+        assert [target for _, _, target, _ in built] == [s["target"] for s in trace.steps]
+        first_half = range(k // 2)
+        assert any(s["collapsed"] for s in trace.steps
+                   if s["sweep"] == 0 and s["target"] in first_half)
+        assert trace.n_sweeps == 2
+
+        L = moments.n_basis
+        for (cond, step_params, target, cache), s in zip(built, trace.steps):
+            if s["sweep"] == 0:
+                assert cond.coefs == (target,) and cond.gram.shape == (L, L)
+            want = build_cache(moments, step_params, target)
+            for name in ("t_lower", "t_abs_colsum", "r_t"):
+                got, ref = getattr(cache, name), getattr(want, name)
+                np.testing.assert_allclose(got, ref, rtol=1e-10,
+                                           atol=1e-10 * np.abs(ref).max())
+            assert cache.logdet_r == pytest.approx(want.logdet_r, rel=1e-10)
+            assert cache.residual == pytest.approx(want.residual, rel=1e-10)
 
 
 class TestFastLoglik:
