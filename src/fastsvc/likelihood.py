@@ -17,9 +17,9 @@ residual sum of squares ``d = y'y - z'(s o W'y)`` at the solve ``z`` of the
 shrinkage-scaled system ``P z = s o W'y``; with ``P = F F'`` it is
 ``y'y - |F^{-1}(s o W'y)|^2``, read off one forward substitution (the
 penalized least-squares form of lme4, Bates et al., JSS 2015).
-``_penalized_solve`` forms, factors and forward-substitutes that system;
-``_factor_penalized``, its core, also factors the pieces that ``sequential``
-eliminates to build its per-target caches.
+``_penalized_solve`` forms, factors and solves that system in two
+Schur-complement halves; ``_factor_penalized``, its core, also factors the
+pieces that ``sequential`` eliminates to build its per-target caches.
 """
 
 from __future__ import annotations
@@ -131,9 +131,10 @@ def spd_factor(P: np.ndarray, error: type = SingularP, anorm: float | None = Non
 
     The guard judges the matrix it is given. A coordinate step's caches
     factor the target-free system in Schur-complement pieces
-    (``sequential._eliminate``), each guarded here; a Schur complement is at
-    least as well conditioned as the matrix it comes from, so a system whose
-    whole factor fails the limit can pass piece by piece.
+    (``sequential._eliminate``), and the compressed likelihood factors ``P``
+    in two (``_penalized_solve``), each piece guarded here; a Schur
+    complement is at least as well conditioned as the matrix it comes from,
+    so a system whose whole factor fails the limit can pass piece by piece.
     """
     a = P if P.flags.f_contiguous else P.T
     if anorm is None:
@@ -292,31 +293,88 @@ def _factor_penalized(gram: np.ndarray, gy: np.ndarray, ranges: list, s: np.ndar
     return F, logdet, y_f
 
 
+def _mirror_lower(c: np.ndarray):
+    """Copy the lower triangle of the square ``c`` onto its upper one."""
+    for j in range(1, c.shape[0]):
+        c[:j, j] = c[j, :j]
+
+
+def _cut(ranges: list, at: int):
+    """The slices ``ranges`` split at position ``at`` of their concatenation,
+    as ``(head, tail)``."""
+    head, tail, start = [], [], 0
+    for r in ranges:
+        mid = min(max(r.start + at - start, r.start), r.stop)
+        head.append(slice(r.start, mid))
+        tail.append(slice(mid, r.stop))
+        start += r.stop - r.start
+    return _merged(head), _merged(tail)
+
+
 def _penalized_solve(moments: CompressedMoments, params: ShrinkageParams, error: type):
-    """Factor the scaled, penalized Gram system and forward-substitute its moments.
+    """Solve the scaled, penalized Gram system in two halves.
 
     The system is ``P = diag(s) gram diag(s)`` plus 1 on every random-effect
-    diagonal, with ``s = scale_vector(moments, params)``. A random-effect
-    block whose scale is identically zero (rho = 0) is an identity block of
-    ``P`` with no coupling and no moment, so it is left out: its ln|P| term
-    and its solve are 0. ``_factor_penalized`` factors what is kept as
-    ``P = F F'`` and forward-substitutes ``y_f = F^{-1} (s o W'y)``.
+    diagonal, with ``s = scale_vector(moments, params)``, and its right-hand
+    side is ``b = s o W'y``. A random-effect block whose scale is identically
+    zero (rho = 0) is an identity block of ``P`` with no coupling and no
+    moment, so it is left out: its ln|P| term and its solve are 0.
 
-    Returns ``(F, ln|P|, y_f, d, kept)``: ``F`` is lower triangular (its
-    other triangle holds entries of ``P``), ``d = y'y - |y_f|^2`` is summed
-    in extended precision and not yet clamped, and ``kept`` lists the Gram
-    columns in the system's order. ``error`` is raised when ``P`` is
-    singular.
+    What is kept is split into its leading half ``S`` and the rest ``H``.
+    With ``P_SS = F_S F_S'`` (``_factor_penalized``), ``X = F_S^{-1} P_SH``
+    and the Schur complement ``C = P_HH - X'X = F_C F_C'``, the factor of
+    ``P`` is ``[[F_S, 0], [X', F_C]]``: ``ln|P| = ln|P_SS| + ln|C|``, the
+    forward substitution is ``y_S = F_S^{-1} b_S`` and
+    ``y_H = F_C^{-1}(b_H - X'y_S)``, and the back substitution is
+    ``z_H = F_C'^{-1} y_H`` and ``z_S = F_S'^{-1}(y_S - X z_H)``. ``F_S`` is
+    freed before ``C`` is formed and factored again for ``z_S``, so beside
+    the Gram at most half of ``P``'s doubles are held (``F_S`` with ``X``,
+    then ``X`` with ``C``), where one factor of ``P`` would hold all of them.
+    A fit's final likelihood then stays below the peaks of its compression
+    and its sweeps, whichever coefficients collapse, so the fit's peak does
+    not follow the data. ``spd_factor`` guards ``P_SS`` and ``C``.
+
+    Returns ``(ln|P|, d, z, kept)``: ``d = y'y - |y_S|^2 - |y_H|^2`` is
+    summed in extended precision and not yet clamped, and ``z`` is the solve
+    on the Gram columns ``kept``, in the system's order. ``error`` is raised
+    when ``P`` is singular.
     """
+    k = moments.n_cov
     s = scale_vector(moments, params)
     blocks = [moments.block(a) for a in range(moments.k_varying)
               if s[moments.block(a)].any()]
-    ranges = _merged([slice(0, moments.n_cov)] + blocks)
+    ranges = _merged([slice(0, k)] + blocks)
     kept = np.concatenate([np.arange(r.start, r.stop) for r in ranges])
-    F, logdet, y_f = _factor_penalized(moments.gram, moments.gy, ranges, s[kept],
-                                       moments.n_cov, error)
-    residual = float(np.longdouble(moments.yty) - _squares(y_f))
-    return F, logdet, y_f, residual, kept
+    n_head = (kept.shape[0] + 1) // 2
+    head, tail = _cut(ranges, n_head)
+    s_head, s_tail = s[kept[:n_head]], s[kept[n_head:]]
+    F, logdet, y_s = _factor_penalized(moments.gram, moments.gy, head, s_head, k, error)
+    residual = np.longdouble(moments.yty) - _squares(y_s)
+    if not tail:
+        return logdet, float(residual), blas.dtrsv(F, y_s, lower=1, trans=1), kept
+
+    panel = _gather(moments.gram, head, tail, s_tail)
+    panel *= s_head[:, None]
+    panel = blas.dtrsm(1.0, F, panel, lower=1, overwrite_b=1)  # X = F_S^{-1} P_SH
+    del F
+    c = _gather(moments.gram, tail, tail, s_tail)
+    c *= s_tail[:, None]
+    penalized = np.arange(max(k - n_head, 0), s_tail.shape[0])
+    c[penalized, penalized] += 1.0
+    c = blas.dsyrk(-1.0, panel, beta=1.0, c=c, trans=1, lower=1, overwrite_c=1)
+    _mirror_lower(c)  # spd_factor's 1-norm reads both triangles
+    (f_c, _), logdet_c = spd_factor(c, error=error)
+    b_tail = s_tail * np.concatenate([moments.gy[r] for r in tail])
+    y_h = blas.dtrsv(f_c, blas.dgemv(-1.0, panel, y_s, beta=1.0, y=b_tail, trans=1),
+                     lower=1)
+    z_h = blas.dtrsv(f_c, y_h, lower=1, trans=1)
+    del c, f_c
+    w = blas.dgemv(-1.0, panel, z_h, beta=1.0, y=y_s)  # y_S - X z_H
+    del panel
+    F, _, _ = _factor_penalized(moments.gram, moments.gy, head, s_head, k, error)
+    z_s = blas.dtrsv(F, w, lower=1, trans=1)
+    return (logdet + logdet_c, float(residual - _squares(y_h)),
+            np.concatenate([z_s, z_h]), kept)
 
 
 def compressed_restricted_loglik(moments: CompressedMoments,
@@ -327,7 +385,8 @@ def compressed_restricted_loglik(moments: CompressedMoments,
     (J adds 1 to each random-effect diagonal) and the residual term is
     ``d = y'y - z'(s o W'y) = y'y - |y_f|^2`` with ``y_f = F^{-1}(s o W'y)``
     and ``P = F F'``; the solve ``z = F'^{-1} y_f`` is one back substitution,
-    0 in the blocks of collapsed coefficients. The subtraction cancels
+    0 in the blocks of collapsed coefficients. ``_penalized_solve`` forms
+    ``F`` in two Schur-complement halves. The subtraction cancels
     almost completely near good fits: small negative values are clamped to 0
     and grossly negative ones raise.
     """
@@ -336,9 +395,9 @@ def compressed_restricted_loglik(moments: CompressedMoments,
     if params.k_varying != moments.k_varying:
         raise ValueError("params length must match the number of varying coefficients")
 
-    F, logdet, y_f, residual, kept = _penalized_solve(moments, params, SingularP)
+    logdet, residual, z_kept, kept = _penalized_solve(moments, params, SingularP)
     z = np.zeros(moments.size)
-    z[kept] = blas.dtrsv(F, y_f, lower=1, trans=1)
+    z[kept] = z_kept
     d_theta = _clamp_cancelled(residual, moments.yty, "compressed residual term")
     loglik = _assemble_loglik(logdet, d_theta, n, k, moments.yty)
     return LikelihoodResult(

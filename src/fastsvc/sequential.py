@@ -136,6 +136,7 @@ from .likelihood import (
     _factor_penalized,
     _gather,
     _merged,
+    _mirror_lower,
     _squares,
     spd_factor,
     v_diag,
@@ -243,12 +244,6 @@ class ConditionedMoments:
     def of(cls, moments: CompressedMoments) -> "ConditionedMoments":
         return cls(moments.gram, moments.gy, np.longdouble(moments.yty), 0.0,
                    moments.n_cov, tuple(range(moments.k_varying)), moments)
-
-
-def _mirror_lower(c: np.ndarray):
-    """Copy the lower triangle of the square ``c`` onto its upper one."""
-    for j in range(1, c.shape[0]):
-        c[:j, j] = c[j, :j]
 
 
 def _eliminate(cond: ConditionedMoments, params: ShrinkageParams,

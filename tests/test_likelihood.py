@@ -99,6 +99,30 @@ class TestCompressedForm:
             np.testing.assert_allclose(c.u_hat, d.u_hat, atol=1e-8)
             assert c.sigma2_hat == pytest.approx(d.d_theta / (n - k), rel=1e-8)
 
+    @pytest.mark.parametrize("k, collapsed", [(1, ()), (3, ()), (2, (1,)),
+                                              (3, (0, 2)), (1, (0,)), (3, (0, 1, 2))])
+    def test_two_halves_match_one_dense_factor(self, k, collapsed):
+        # the halves cut through a block, or through the fixed block when
+        # every coefficient is collapsed; k = 1 with nothing kept but the
+        # fixed column leaves the second half empty
+        _, _, _, moments = random_instance(70 + k, n=90, k=k, max_pairs=7)
+        params = random_params(5, moments.k_varying)
+        for a in collapsed:
+            params = params.with_entry(a, 0.0, params.alpha[a])
+        P, rhs = dense_penalized_system(moments, params)
+        z = np.linalg.solve(P, rhs)
+        d = moments.yty - z @ rhs
+        n, m = moments.n_obs, moments.size
+        want = -0.5 * np.linalg.slogdet(P)[1] - (n - k) / 2 * (
+            1 + np.log(2 * np.pi * d / (n - k)))
+        c = compressed_restricted_loglik(moments, params)
+        assert c.loglik == pytest.approx(want, rel=1e-12)
+        assert c.d_theta == pytest.approx(d, rel=1e-10)
+        got = np.concatenate([c.b_hat, c.u_hat.ravel()])
+        np.testing.assert_allclose(got, z, rtol=0, atol=1e-10 * np.abs(z).max())
+        for a in collapsed:
+            assert np.all(c.u_hat[a] == 0.0)
+
     def test_zero_ratio_residual_is_ols_rss(self):
         _, _, design, moments = random_instance(4, n=80, k=3)
         params = ShrinkageParams(np.zeros(3), np.ones(3))

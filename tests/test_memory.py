@@ -1,9 +1,10 @@
 """A fit streams its Nystrom basis: compression holds one chunk buffer, one
 chunk of basis rows and the Gram, and the fit's peak memory grows by much
 less than one basis row per site. The coordinate ascent holds one penalized
-system and nothing else with m rows. The kernel range holds its sites, an
-int32 neighbour table and the graph of its kept edges, and no N-wide float
-array of the neighbour distances.
+system and nothing else with m rows, and the compressed likelihood half of
+one. The kernel range holds its sites, an int32 neighbour table and the
+graph of its kept edges, and no N-wide float array of the neighbour
+distances.
 
 Every budget is counted from the shapes of the arrays the code makes.
 """
@@ -17,6 +18,7 @@ from fastsvc import geometry
 from fastsvc.compression import SvcDesign, compress
 from fastsvc.eigenbasis import ROW_CHUNK, nystrom_basis
 from fastsvc.geometry import RANGE_NEIGHBOURS, mst_max_edge
+from fastsvc.likelihood import ShrinkageParams, compressed_restricted_loglik
 from fastsvc.model import FitOptions, SpatialDataset, build_basis, fit
 from fastsvc.sequential import fit_sequential
 
@@ -63,6 +65,14 @@ def _estimate_budget(m, L):
     ``getbufsize`` elements for each of three operands, which the strided
     gather of the Gram fills."""
     return (m * m + 6 * L * L + 16 * m + 3 * np.getbufsize()) * DOUBLE
+
+
+def _solve_budget(m):
+    """Bytes the compressed likelihood may hold beyond its moments: the
+    leading half's factor with its panel, then the panel with the trailing
+    half's Schur complement, at most ``ceil(m / 2) m`` doubles; 16
+    m-vectors; and numpy's ufunc buffers, as in ``_estimate_budget``."""
+    return ((m + 1) // 2 * m + 16 * m + 3 * np.getbufsize()) * DOUBLE
 
 
 def _range_budget(m, block):
@@ -126,6 +136,19 @@ def test_fit_sequential_holds_one_system_and_no_block_of_m_rows():
     fit_sequential(moments, tol=0.0, max_sweeps=1)  # first calls import lazily
     _, peak = _peak(fit_sequential, moments, None, 0.0, 1)
     assert peak <= _estimate_budget(m, L)
+
+
+def test_compressed_loglik_holds_half_its_system():
+    # so a fit's final likelihood peaks below its sweeps whichever
+    # coefficients collapse, where one m x m factor would not
+    ds = _dataset(3000, k=6)
+    basis = build_basis(ds.coords, FitOptions(basis="nystrom", knot_count=100))
+    moments = compress(_design(ds, basis, basis))
+    m, kv = moments.size, moments.k_varying
+    params = ShrinkageParams(np.ones(kv), np.ones(kv))
+    compressed_restricted_loglik(moments, params)
+    _, peak = _peak(compressed_restricted_loglik, moments, params)
+    assert peak <= _solve_budget(m) < m * m * DOUBLE
 
 
 @pytest.mark.parametrize("block", [geometry.RANGE_BLOCK, 100])
