@@ -78,11 +78,14 @@ class EigenBasis:
         The sites a Nystrom basis evaluates its rows at.
     knots : KnotSet or None
         Present only for the Nystrom kind.
-    knot_scale, knot_values, row_correction
-        Nystrom ingredients, also used to evaluate the basis at new sites:
-        ``knot_scale`` is ``knot_vectors / (knot_values + 1)`` (knots x L),
-        the factor that maps a row of the corrected site-to-knot kernel to a
-        basis row, formed once when the basis is built.
+    knot_scale, row_correction
+        Nystrom ingredients that evaluate the basis at any sites
+        (``basis_at``): ``knot_scale`` is the knot kernel's eigenvectors
+        divided by ``knot_values + 1`` (knots x L), the factor that maps a
+        row of the corrected site-to-knot kernel to a basis row, formed once
+        when the basis is built.
+    knot_values : (L,) array or None
+        Eigenvalues of the knot kernel, present only for the Nystrom kind.
     """
 
     values: np.ndarray
@@ -121,12 +124,6 @@ class EigenBasis:
         """All (N, L) eigenvector columns; a Nystrom basis evaluates every
         row on each access."""
         return self.rows(0, self.n_sites)
-
-    @property
-    def knot_vectors(self) -> np.ndarray:
-        """Eigenvectors of the knot kernel (knots x L), recovered from
-        ``knot_scale`` to rounding."""
-        return self.knot_scale * (self.knot_values + 1.0)[None, :]
 
     def times(self, coef: np.ndarray) -> np.ndarray:
         """``vectors @ coef`` for an (L, J) ``coef``, ``ROW_CHUNK`` rows at a

@@ -17,14 +17,16 @@ residual sum of squares ``d = y'y - z'(s o W'y)`` at the solve ``z`` of the
 shrinkage-scaled system ``P z = s o W'y``; with ``P = F F'`` it is
 ``y'y - |F^{-1}(s o W'y)|^2``, read off one forward substitution (the
 penalized least-squares form of lme4, Bates et al., JSS 2015).
-``_penalized_solve`` forms, factors and solves that system in two
-Schur-complement halves; ``_factor_penalized``, its core, also factors the
-pieces that ``sequential`` eliminates to build its per-target caches.
+``_eliminate`` conditions the moments on some of the system's blocks: the
+Schur complement of one elimination, held as ``ConditionedMoments``.
+``sequential`` builds each sweep's per-target caches from a tree of them,
+and ``_penalized_solve`` solves the whole system from one, split where a
+sweep's root splits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -129,10 +131,9 @@ def spd_factor(P: np.ndarray, error: type = SingularP, anorm: float | None = Non
     entries of ``P``. Raises ``error`` when the factorization fails or the
     reciprocal 1-norm condition estimate falls below ``RCOND_LIMIT``.
 
-    The guard judges the matrix it is given. A coordinate step's caches
-    factor the target-free system in Schur-complement pieces
-    (``sequential._eliminate``), and the compressed likelihood factors ``P``
-    in two (``_penalized_solve``), each piece guarded here; a Schur
+    The guard judges the matrix it is given. ``_eliminate`` factors a
+    system in Schur-complement pieces, for a coordinate step's caches and
+    for the compressed likelihood alike, each piece guarded here; a Schur
     complement is at least as well conditioned as the matrix it comes from,
     so a system whose whole factor fails the limit can pass piece by piece.
     """
@@ -148,17 +149,6 @@ def spd_factor(P: np.ndarray, error: type = SingularP, anorm: float | None = Non
         raise error(f"condition estimate too poor (rcond={rcond:.3e})")
     logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
     return (c, low), logdet
-
-
-def scale_vector(moments_or_design, params: ShrinkageParams) -> np.ndarray:
-    """Stacked shrinkage diagonal: ones on the fixed block, then each V_k."""
-    src = moments_or_design
-    k, L, lam = src.n_cov, src.n_basis, src.values
-    kv = params.k_varying
-    v = np.ones(k + kv * L)
-    for a in range(kv):
-        v[k + a * L: k + (a + 1) * L] = v_diag(params.rho[a], params.alpha[a], lam)
-    return v
 
 
 def _clamp_cancelled(value: float, yty: float, what: str) -> float:
@@ -271,26 +261,25 @@ def _squares(y: np.ndarray) -> np.longdouble:
     return y_ext @ y_ext
 
 
-def _factor_penalized(gram: np.ndarray, gy: np.ndarray, ranges: list, s: np.ndarray,
+def _factor_penalized(gram: np.ndarray, b: np.ndarray, ranges: list, s: np.ndarray,
                       n_fixed: int, error: type):
     """Factor the scaled, penalized system on the Gram's ``ranges`` and
-    forward-substitute its moments.
+    forward-substitute the moments ``b`` of the same columns.
 
     The system is ``P = diag(s) G diag(s)`` plus 1 on every diagonal after
     the first ``n_fixed``, with ``G`` the Gram restricted to ``ranges``
     (merged slices, in order) and ``s`` the scale of its columns. It is
-    factored in place as ``P = F F'``, and ``y_f = F^{-1} (s o gy)`` on the
-    same columns. Returns ``(F, ln|P|, y_f)``; ``F`` is lower triangular and
-    its other triangle holds entries of ``P``. ``error`` is raised when
-    ``P`` is singular.
+    factored in place as ``P = F F'``, and ``y_f = F^{-1} (s o b)``.
+    Returns ``(F, ln|P|, y_f)``; ``F`` is lower triangular and its other
+    triangle holds entries of ``P``. ``error`` is raised when ``P`` is
+    singular.
     """
     P = _gather(gram, ranges, ranges, s)
     P *= s[:, None]
     penalized = np.arange(n_fixed, s.shape[0])
     P[penalized, penalized] += 1.0
     (F, _), logdet = spd_factor(P, error=error)
-    y_f = blas.dtrsv(F, s * np.concatenate([gy[r] for r in ranges]), lower=1)
-    return F, logdet, y_f
+    return F, logdet, blas.dtrsv(F, s * b, lower=1)
 
 
 def _mirror_lower(c: np.ndarray):
@@ -299,82 +288,152 @@ def _mirror_lower(c: np.ndarray):
         c[:j, j] = c[j, :j]
 
 
-def _cut(ranges: list, at: int):
-    """The slices ``ranges`` split at position ``at`` of their concatenation,
-    as ``(head, tail)``."""
-    head, tail, start = [], [], 0
-    for r in ranges:
-        mid = min(max(r.start + at - start, r.start), r.stop)
-        head.append(slice(r.start, mid))
-        tail.append(slice(mid, r.stop))
-        start += r.stop - r.start
-    return _merged(head), _merged(tail)
+@dataclass(frozen=True)
+class ConditionedMoments:
+    """Compressed moments with some blocks eliminated at fixed parameters.
+
+    ``gram`` and ``gy`` are the conditional Gram and moments (``_eliminate``)
+    of the columns left: the fixed block's first ``n_fixed`` columns (all K
+    of them, or none once it is eliminated), then one L-block per
+    coefficient of ``coefs``, in that order, all unscaled. ``residual`` is
+    ``y'y - |y_S|^2`` and ``logdet`` is ``ln|R_SS|`` of what has been
+    eliminated. ``of`` wraps the moments themselves, with nothing
+    eliminated.
+    """
+
+    gram: np.ndarray          # conditional Gram, symmetric, Fortran order
+    gy: np.ndarray            # conditional moments
+    residual: np.longdouble   # y'y - |y_S|^2, in extended precision
+    logdet: float             # ln|R_SS|
+    n_fixed: int              # fixed-block columns still in gram
+    coefs: tuple              # varying coefficients whose blocks follow
+    moments: CompressedMoments
+
+    @classmethod
+    def of(cls, moments: CompressedMoments) -> "ConditionedMoments":
+        return cls(moments.gram, moments.gy, np.longdouble(moments.yty), 0.0,
+                   moments.n_cov, tuple(range(moments.k_varying)), moments)
+
+
+def _split(cond: ConditionedMoments, params: ShrinkageParams, keep):
+    """The Gram ranges of ``cond`` that ``_eliminate`` eliminates, with their
+    scale, and those it keeps, with their coefficients, as
+    ``(eliminated, s, kept, coefs)``: the fixed block and every block not in
+    ``keep`` whose scale is not identically zero are eliminated (a collapsed
+    block is dropped)."""
+    L, nf = cond.moments.n_basis, cond.n_fixed
+    eliminated, scales, kept, coefs = [slice(0, nf)], [np.ones(nf)], [], []
+    for i, a in enumerate(cond.coefs):
+        span = slice(nf + i * L, nf + (i + 1) * L)
+        if a in keep:
+            kept.append(span)
+            coefs.append(a)
+            continue
+        v = v_diag(params.rho[a], params.alpha[a], cond.moments.values)
+        if v.any():
+            eliminated.append(span)
+            scales.append(v)
+    return _merged(eliminated), np.concatenate(scales), _merged(kept), tuple(coefs)
+
+
+def _eliminate(cond: ConditionedMoments, params: ShrinkageParams, keep,
+               error: type) -> ConditionedMoments:
+    """Condition ``cond`` on everything but the blocks of the coefficients
+    in ``keep``, at the parameters in ``params``.
+
+    Eliminating the blocks ``S`` (``_split``) from a system whose kept
+    blocks ``H`` are scaled by ``D_H`` leaves ``D_H C_HH D_H`` (+ I) with
+
+        C_HH = G_HH - G_HS D_S R_SS^{-1} D_S G_SH,   c_H = gy_H - G_HS D_S R_SS^{-1} D_S gy_S
+
+    because ``R_HS = D_H G_HS D_S``: the conditional Gram ``C_HH`` and
+    moments ``c_H`` do not depend on the kept blocks' parameters, and
+    eliminating more blocks later works on them as on the Gram. One
+    ``_factor_penalized`` of the scaled, penalized ``R_SS = F_S F_S'``, a
+    ``dtrsm`` for ``X = F_S^{-1} D_S G_SH``, a ``dsyrk`` for
+    ``C_HH = G_HH - X'X`` and a ``dgemv`` for ``c_H = gy_H - X'y_S`` give
+    them. The factor is freed before the conditional Gram is allocated, so
+    the peak is the larger of ``|S|^2 + |S||H|`` and ``|S||H| + |H|^2``
+    doubles. Raises ``error`` when ``R_SS`` is singular.
+    """
+    eliminated, s, kept, coefs = _split(cond, params, keep)
+    gy = np.concatenate([cond.gy[r] for r in kept])
+    if not s.size:
+        return replace(cond, gram=_gather(cond.gram, kept, kept), gy=gy,
+                       n_fixed=0, coefs=coefs)
+
+    F, logdet_s, y_s = _factor_penalized(
+        cond.gram, np.concatenate([cond.gy[r] for r in eliminated]), eliminated, s,
+        cond.n_fixed, error)
+    panel = _gather(cond.gram, eliminated, kept)
+    panel *= s[:, None]
+    panel = blas.dtrsm(1.0, F, panel, lower=1, overwrite_b=1)  # X = F_S^{-1} D_S G_SH
+    del F
+    gram = blas.dsyrk(-1.0, panel, beta=1.0, c=_gather(cond.gram, kept, kept),
+                      trans=1, lower=1, overwrite_c=1)
+    _mirror_lower(gram)
+    gy = blas.dgemv(-1.0, panel, y_s, beta=1.0, y=gy, trans=1, overwrite_y=1)
+    return ConditionedMoments(gram, gy, cond.residual - _squares(y_s),
+                              cond.logdet + logdet_s, 0, coefs, cond.moments)
 
 
 def _penalized_solve(moments: CompressedMoments, params: ShrinkageParams, error: type):
-    """Solve the scaled, penalized Gram system in two halves.
+    """Solve the scaled, penalized Gram system in two Schur-complement halves.
 
     The system is ``P = diag(s) gram diag(s)`` plus 1 on every random-effect
-    diagonal, with ``s = scale_vector(moments, params)``, and its right-hand
-    side is ``b = s o W'y``. A random-effect block whose scale is identically
-    zero (rho = 0) is an identity block of ``P`` with no coupling and no
-    moment, so it is left out: its ln|P| term and its solve are 0.
+    diagonal, with ``s`` one on the fixed block and ``V_k`` on each
+    coefficient's, and its right-hand side is ``b = s o W'y``. A block whose
+    scale is identically zero (rho = 0) is an identity block of ``P`` with
+    no coupling and no moment, so it is left out: its ln|P| term and its
+    solve are 0.
 
-    What is kept is split into its leading half ``S`` and the rest ``H``.
-    With ``P_SS = F_S F_S'`` (``_factor_penalized``), ``X = F_S^{-1} P_SH``
-    and the Schur complement ``C = P_HH - X'X = F_C F_C'``, the factor of
-    ``P`` is ``[[F_S, 0], [X', F_C]]``: ``ln|P| = ln|P_SS| + ln|C|``, the
-    forward substitution is ``y_S = F_S^{-1} b_S`` and
-    ``y_H = F_C^{-1}(b_H - X'y_S)``, and the back substitution is
-    ``z_H = F_C'^{-1} y_H`` and ``z_S = F_S'^{-1}(y_S - X z_H)``. ``F_S`` is
-    freed before ``C`` is formed and factored again for ``z_S``, so beside
-    the Gram at most half of ``P``'s doubles are held (``F_S`` with ``X``,
-    then ``X`` with ``C``), where one factor of ``P`` would hold all of them.
-    A fit's final likelihood then stays below the peaks of its compression
-    and its sweeps, whichever coefficients collapse, so the fit's peak does
-    not follow the data. ``spd_factor`` guards ``P_SS`` and ``C``.
+    The split is a sweep's root split (``sequential.fit_sequential``): the
+    kept part ``H`` is the first half of the live coefficients (a lone one
+    is kept by itself), and ``S`` is the fixed block with the rest.
+    ``_eliminate`` leaves ``ln|P_SS|``, ``y'y - |y_S|^2`` and the
+    conditional Gram and moments of ``H``, whose scaled, penalized form is
+    the Schur complement ``C = F_C F_C'`` with ``y_H = F_C^{-1}(s_H o c_H)``:
+    ``ln|P| = ln|P_SS| + ln|C|``, ``d = y'y - |y_S|^2 - |y_H|^2`` and
+    ``z_H = F_C'^{-1} y_H``. ``P_SS`` is factored again for
+    ``z_S = P_SS^{-1}(b_S - P_SH z_H)``. Beside the Gram, this holds no more
+    than the elimination (``|S|^2 + |S||H|``, then ``|S||H| + |H|^2``
+    doubles) or ``C`` with its scaled copy (``2|H|^2``): about half of
+    ``P``'s doubles for an even count of live coefficients, which the sweeps'
+    root elimination holds too. ``spd_factor`` guards ``P_SS`` and ``C``.
 
-    Returns ``(ln|P|, d, z, kept)``: ``d = y'y - |y_S|^2 - |y_H|^2`` is
-    summed in extended precision and not yet clamped, and ``z`` is the solve
-    on the Gram columns ``kept``, in the system's order. ``error`` is raised
-    when ``P`` is singular.
+    Returns ``(ln|P|, d, z)``: ``d`` is summed in extended precision and not
+    yet clamped, and ``z`` is the solve in the Gram's order, 0 on the
+    collapsed blocks. ``error`` is raised when ``P`` is singular.
     """
-    k = moments.n_cov
-    s = scale_vector(moments, params)
-    blocks = [moments.block(a) for a in range(moments.k_varying)
-              if s[moments.block(a)].any()]
-    ranges = _merged([slice(0, k)] + blocks)
-    kept = np.concatenate([np.arange(r.start, r.stop) for r in ranges])
-    n_head = (kept.shape[0] + 1) // 2
-    head, tail = _cut(ranges, n_head)
-    s_head, s_tail = s[kept[:n_head]], s[kept[n_head:]]
-    F, logdet, y_s = _factor_penalized(moments.gram, moments.gy, head, s_head, k, error)
-    residual = np.longdouble(moments.yty) - _squares(y_s)
-    if not tail:
-        return logdet, float(residual), blas.dtrsv(F, y_s, lower=1, trans=1), kept
-
-    panel = _gather(moments.gram, head, tail, s_tail)
-    panel *= s_head[:, None]
-    panel = blas.dtrsm(1.0, F, panel, lower=1, overwrite_b=1)  # X = F_S^{-1} P_SH
-    del F
-    c = _gather(moments.gram, tail, tail, s_tail)
-    c *= s_tail[:, None]
-    penalized = np.arange(max(k - n_head, 0), s_tail.shape[0])
-    c[penalized, penalized] += 1.0
-    c = blas.dsyrk(-1.0, panel, beta=1.0, c=c, trans=1, lower=1, overwrite_c=1)
-    _mirror_lower(c)  # spd_factor's 1-norm reads both triangles
-    (f_c, _), logdet_c = spd_factor(c, error=error)
-    b_tail = s_tail * np.concatenate([moments.gy[r] for r in tail])
-    y_h = blas.dtrsv(f_c, blas.dgemv(-1.0, panel, y_s, beta=1.0, y=b_tail, trans=1),
-                     lower=1)
-    z_h = blas.dtrsv(f_c, y_h, lower=1, trans=1)
-    del c, f_c
-    w = blas.dgemv(-1.0, panel, z_h, beta=1.0, y=y_s)  # y_S - X z_H
-    del panel
-    F, _, _ = _factor_penalized(moments.gram, moments.gy, head, s_head, k, error)
-    z_s = blas.dtrsv(F, w, lower=1, trans=1)
-    return (logdet + logdet_c, float(residual - _squares(y_h)),
-            np.concatenate([z_s, z_h]), kept)
+    root = ConditionedMoments.of(moments)
+    live = [a for a in range(moments.k_varying) if params.rho[a] != 0.0]
+    keep = live[:max(len(live) // 2, 1)]
+    eliminated, s_s, kept, _ = _split(root, params, keep)
+    b_s = np.concatenate([moments.gy[r] for r in eliminated])
+    z_h = np.empty(0)
+    if keep:
+        cond = _eliminate(root, params, keep, error)
+        s_h = np.concatenate([v_diag(params.rho[a], params.alpha[a], moments.values)
+                              for a in keep])
+        F, logdet_c, y_h = _factor_penalized(cond.gram, cond.gy, [slice(0, s_h.size)],
+                                             s_h, 0, error)
+        logdet, residual = cond.logdet + logdet_c, cond.residual - _squares(y_h)
+        z_h = blas.dtrsv(F, y_h, lower=1, trans=1)
+        del cond, F
+        panel = _gather(moments.gram, eliminated, kept)
+        # scipy's BLAS, not numpy's @: a numpy matmul wakes numpy's own
+        # OpenBLAS threads, which then slow every later scipy Cholesky
+        # (threefold at m = 1600)
+        b_s = blas.dgemv(-1.0, panel, s_h * z_h, beta=1.0, y=b_s, overwrite_y=1)
+        del panel
+    F, logdet_s, y_s = _factor_penalized(moments.gram, b_s, eliminated, s_s,
+                                         moments.n_cov, error)
+    if not keep:
+        logdet, residual = logdet_s, np.longdouble(moments.yty) - _squares(y_s)
+    z = np.zeros(moments.size)
+    z[np.r_[tuple(eliminated + kept)]] = np.concatenate(
+        [blas.dtrsv(F, y_s, lower=1, trans=1), z_h])
+    return logdet, float(residual), z
 
 
 def compressed_restricted_loglik(moments: CompressedMoments,
@@ -386,7 +445,7 @@ def compressed_restricted_loglik(moments: CompressedMoments,
     ``d = y'y - z'(s o W'y) = y'y - |y_f|^2`` with ``y_f = F^{-1}(s o W'y)``
     and ``P = F F'``; the solve ``z = F'^{-1} y_f`` is one back substitution,
     0 in the blocks of collapsed coefficients. ``_penalized_solve`` forms
-    ``F`` in two Schur-complement halves. The subtraction cancels
+    ``F`` in two Schur-complement pieces. The subtraction cancels
     almost completely near good fits: small negative values are clamped to 0
     and grossly negative ones raise.
     """
@@ -395,9 +454,7 @@ def compressed_restricted_loglik(moments: CompressedMoments,
     if params.k_varying != moments.k_varying:
         raise ValueError("params length must match the number of varying coefficients")
 
-    logdet, residual, z_kept, kept = _penalized_solve(moments, params, SingularP)
-    z = np.zeros(moments.size)
-    z[kept] = z_kept
+    logdet, residual, z = _penalized_solve(moments, params, SingularP)
     d_theta = _clamp_cancelled(residual, moments.yty, "compressed residual term")
     loglik = _assemble_loglik(logdet, d_theta, n, k, moments.yty)
     return LikelihoodResult(

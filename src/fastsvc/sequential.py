@@ -44,27 +44,24 @@ complement of everything else in ``R``, and ``y_f[t] = F_tt^{-1} c_t`` with
 ``c_t``, ``ln|R_SS|`` and ``y'y - |y_S|^2`` of the rest ``S``; it holds no
 array with m rows.
 
-Conditioning. Eliminating a set ``S`` of blocks from a system whose other
-blocks ``H`` are scaled by ``D_H`` leaves ``D_H C_HH D_H`` (+ I) with
-
-    C_HH = G_HH - G_HS D_S R_SS^{-1} D_S G_SH,   c_H = gy_H - G_HS D_S R_SS^{-1} D_S gy_S
-
-because ``R_HS = D_H G_HS D_S``: the conditional Gram ``C_HH`` and moments
-``c_H`` do not depend on the kept blocks' parameters, and eliminating more
-blocks later works on them as on the Gram. ``_eliminate`` does it with
-one factor of the scaled, penalized ``R_SS = F_S F_S'``, a ``dtrsm`` for
-``X = F_S^{-1} D_S G_SH``, a ``dsyrk`` for ``C_HH = G_HH - X'X`` and a
-``dgemv`` for ``c_H = gy_H - X'y_S``. An off-target coefficient at rho = 0 is
-an identity block with no coupling and no moment, so it is dropped, and a
-step factors a smaller system. Every expression stays finite as any rho
-approaches 0, so collapsed coefficients need no other special casing.
+Conditioning. ``likelihood._eliminate`` eliminates a set ``S`` of blocks
+at their current pairs and leaves the conditional Gram and moments of the
+other blocks (``ConditionedMoments``). These do not depend on the kept
+blocks' parameters, and eliminating more blocks later works on them as on
+the Gram; its docstring has the algebra. An off-target coefficient at
+rho = 0 is an identity block with no coupling and no moment, so it is
+dropped, and a step factors a smaller system. Every expression stays finite
+as any rho approaches 0, so collapsed coefficients need no other special
+casing.
 
 Sweep. Within a sweep, the coefficients after the current step still hold
 last sweep's pairs and those before it are final, so ``fit_sequential``
 halves each sweep's targets recursively: it eliminates the fixed block and
 the second half at their current pairs once for every step in the first
 half, recurses, then eliminates the fixed block and the updated first half
-from the same moments for the second half. An elimination of half of an
+from the same moments for the second half. The fit's final compressed
+likelihood (``likelihood._penalized_solve``) makes the root's first
+elimination once more, at the final pairs. An elimination of half of an
 n-row system costs ``n^3 / 24`` flops for its factor and ``n^3 / 8`` each for
 the ``dtrsm`` and the ``dsyrk``, so the root's two cost ``7 m^3 / 12`` and
 each level below a quarter of the level above: a sweep costs about
@@ -119,7 +116,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -128,15 +125,13 @@ from scipy.optimize import minimize
 from .compression import CompressedMoments
 from .errors import FastSvcError, SingularBlock, SingularInnerMatrix
 from .likelihood import (
+    ConditionedMoments,
     LikelihoodResult,
     ShrinkageParams,
     _assemble_loglik,
     _check_counts,
     _clamp_cancelled,
-    _factor_penalized,
-    _gather,
-    _merged,
-    _mirror_lower,
+    _eliminate,
     _squares,
     spd_factor,
     v_diag,
@@ -219,80 +214,6 @@ class PerKCache:
     n_cov: int
 
 
-@dataclass(frozen=True)
-class ConditionedMoments:
-    """Compressed moments with some blocks eliminated at fixed parameters.
-
-    ``gram`` and ``gy`` are the conditional Gram and moments (module
-    docstring) of the columns left: the fixed block's first ``n_fixed``
-    columns (all K of them, or none once it is eliminated), then one L-block
-    per coefficient of ``coefs``, in that order, all unscaled. ``residual``
-    is ``y'y - |y_S|^2`` and ``logdet`` is ``ln|R_SS|`` of what has been
-    eliminated. ``of`` wraps the moments themselves, with nothing
-    eliminated.
-    """
-
-    gram: np.ndarray          # conditional Gram, symmetric, Fortran order
-    gy: np.ndarray            # conditional moments
-    residual: np.longdouble   # y'y - |y_S|^2, in extended precision
-    logdet: float             # ln|R_SS|
-    n_fixed: int              # fixed-block columns still in gram
-    coefs: tuple              # varying coefficients whose blocks follow
-    moments: CompressedMoments
-
-    @classmethod
-    def of(cls, moments: CompressedMoments) -> "ConditionedMoments":
-        return cls(moments.gram, moments.gy, np.longdouble(moments.yty), 0.0,
-                   moments.n_cov, tuple(range(moments.k_varying)), moments)
-
-
-def _eliminate(cond: ConditionedMoments, params: ShrinkageParams,
-               keep) -> ConditionedMoments:
-    """Condition ``cond`` on everything but the blocks of the coefficients
-    in ``keep``, at the parameters in ``params``.
-
-    The eliminated part ``S`` is the fixed block and every other block whose
-    scale is not identically zero (a collapsed block is dropped). One
-    ``_factor_penalized`` of ``R_SS``, a ``dtrsm``, a ``dsyrk`` and a
-    ``dgemv`` give the kept blocks' conditional Gram and moments (module
-    docstring); nothing returned depends on the kept blocks' parameters. The
-    factor is freed before the conditional Gram is allocated, so the peak is
-    the larger of ``|S|^2 + |S||H|`` and ``|S||H| + |H|^2`` doubles. Raises
-    ``SingularBlock`` when ``R_SS`` is singular.
-    """
-    L, nf = cond.moments.n_basis, cond.n_fixed
-    eliminated, scales, kept, coefs = [slice(0, nf)], [np.ones(nf)], [], []
-    for i, a in enumerate(cond.coefs):
-        span = slice(nf + i * L, nf + (i + 1) * L)
-        if a in keep:
-            kept.append(span)
-            coefs.append(a)
-            continue
-        v = v_diag(params.rho[a], params.alpha[a], cond.moments.values)
-        if v.any():
-            eliminated.append(span)
-            scales.append(v)
-    eliminated, kept = _merged(eliminated), _merged(kept)
-    s = np.concatenate(scales)
-    gy = np.concatenate([cond.gy[r] for r in kept])
-    if not s.size:
-        return replace(cond, gram=_gather(cond.gram, kept, kept), gy=gy,
-                       n_fixed=0, coefs=tuple(coefs))
-
-    F, logdet_s, y_s = _factor_penalized(cond.gram, cond.gy, eliminated, s, nf,
-                                         SingularBlock)
-    panel = _gather(cond.gram, eliminated, kept)
-    panel *= s[:, None]
-    panel = blas.dtrsm(1.0, F, panel, lower=1, overwrite_b=1)  # X = F_S^{-1} D_S G_SH
-    del F
-    gram = blas.dsyrk(-1.0, panel, beta=1.0, c=_gather(cond.gram, kept, kept),
-                      trans=1, lower=1, overwrite_c=1)
-    _mirror_lower(gram)
-    gy = blas.dgemv(-1.0, panel, y_s, beta=1.0, y=gy, trans=1, overwrite_y=1)
-    return ConditionedMoments(gram, gy, cond.residual - _squares(y_s),
-                              cond.logdet + logdet_s, 0, tuple(coefs), cond.moments)
-
-
 def build_cache(moments: CompressedMoments | ConditionedMoments,
                 params: ShrinkageParams, target: int) -> PerKCache:
     """Factor the off-target system once for coordinate step ``target``.
@@ -316,7 +237,7 @@ def build_cache(moments: CompressedMoments | ConditionedMoments,
     if target not in cond.coefs:
         raise ValueError(f"target {target} is not among the blocks {list(cond.coefs)}")
 
-    leaf = _eliminate(cond, params, (target,))
+    leaf = _eliminate(cond, params, (target,), SingularBlock)
     L = source.n_basis
     (f_tt, _), logdet_tt = spd_factor(leaf.gram, error=SingularBlock)
     y_t = blas.dtrsv(f_tt, leaf.gy, lower=1)
@@ -682,6 +603,8 @@ def fit_sequential(moments: CompressedMoments,
     -------
     (ShrinkageParams, LikelihoodResult, FitTrace)
     """
+    # imported at call time, so a wrapper set on fastsvc.likelihood's
+    # attribute (the bench's span in bench/spans.py) is the one called
     from .likelihood import compressed_restricted_loglik
 
     if max_sweeps < 1:
@@ -727,7 +650,7 @@ def fit_sequential(moments: CompressedMoments,
         half = len(targets) // 2
         for part in (targets[:half], targets[half:]):
             t0 = time.perf_counter()
-            sub = _eliminate(cond, params, part)
+            sub = _eliminate(cond, params, part, SingularBlock)
             trace.cache_s += time.perf_counter() - t0
             visit(sub, part, sweep)
             del sub  # before the next half's elimination allocates

@@ -25,6 +25,14 @@ from fastsvc.sequential import (
 )
 
 
+# -- eigenbasis --------------------------------------------------------------
+
+def knot_vectors(basis):
+    """Eigenvectors of a Nystrom basis's knot kernel (knots x L), recovered
+    from ``knot_scale`` to rounding."""
+    return basis.knot_scale * (basis.knot_values + 1.0)[None, :]
+
+
 # -- geometry ----------------------------------------------------------------
 
 def naive_pairwise(a, b):

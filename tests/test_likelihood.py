@@ -14,7 +14,6 @@ from fastsvc.likelihood import (
     _clamp_cancelled,
     compressed_restricted_loglik,
     direct_restricted_loglik,
-    scale_vector,
     v_diag,
 )
 
@@ -100,11 +99,15 @@ class TestCompressedForm:
             assert c.sigma2_hat == pytest.approx(d.d_theta / (n - k), rel=1e-8)
 
     @pytest.mark.parametrize("k, collapsed", [(1, ()), (3, ()), (2, (1,)),
-                                              (3, (0, 2)), (1, (0,)), (3, (0, 1, 2))])
+                                              (3, (0, 2)), (1, (0,)), (3, (0, 1, 2)),
+                                              (2, ()), (4, ()), (4, (0,)), (4, (2,))])
     def test_two_halves_match_one_dense_factor(self, k, collapsed):
-        # the halves cut through a block, or through the fixed block when
-        # every coefficient is collapsed; k = 1 with nothing kept but the
-        # fixed column leaves the second half empty
+        # the halves split where a sweep's root does: the first half of the
+        # live coefficients is kept, a lone one by itself, and the fixed
+        # block and the rest are eliminated; with every coefficient
+        # collapsed only the fixed block is left. The cases cover odd and
+        # even live counts, a collapsed block in front of the kept half
+        # (4, (0,)) and an odd count with a gap (4, (2,))
         _, _, _, moments = random_instance(70 + k, n=90, k=k, max_pairs=7)
         params = random_params(5, moments.k_varying)
         for a in collapsed:
@@ -163,15 +166,6 @@ class TestCompressedForm:
             norms.append(float(np.linalg.norm(beta_var)))
         assert all(a > b for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 0.05 * norms[0]
-
-    def test_scale_vector_layout(self):
-        _, _, _, moments = random_instance(7, n=50, k=2)
-        params = ShrinkageParams(np.array([2.0, 3.0]), np.array([0.0, 0.0]))
-        v = scale_vector(moments, params)
-        k, L = moments.n_cov, moments.n_basis
-        assert np.all(v[:k] == 1.0)
-        assert np.all(v[k:k + L] == 2.0)
-        assert np.all(v[k + L:] == 3.0)
 
 
 class TestClampCancelled:

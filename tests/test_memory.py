@@ -1,10 +1,11 @@
 """A fit streams its Nystrom basis: compression holds one chunk buffer, one
 chunk of basis rows and the Gram, and the fit's peak memory grows by much
 less than one basis row per site. The coordinate ascent holds one penalized
-system and nothing else with m rows, and the compressed likelihood half of
-one. The kernel range holds its sites, an int32 neighbour table and the
-graph of its kept edges, and no N-wide float array of the neighbour
-distances.
+system and nothing else with m rows. The compressed likelihood holds what a
+sweep's root elimination holds: half of one system for an even count of
+live coefficients, more for an odd one. The kernel range holds its sites,
+an int32 neighbour table and the graph of its kept edges, and no N-wide
+float array of the neighbour distances.
 
 Every budget is counted from the shapes of the arrays the code makes.
 """
@@ -73,6 +74,16 @@ def _solve_budget(m):
     half's Schur complement, at most ``ceil(m / 2) m`` doubles; 16
     m-vectors; and numpy's ufunc buffers, as in ``_estimate_budget``."""
     return ((m + 1) // 2 * m + 16 * m + 3 * np.getbufsize()) * DOUBLE
+
+
+def _split_budget(s, h, m):
+    """Bytes the compressed likelihood may hold beyond its moments when it
+    eliminates ``s`` of its system's columns and keeps ``h``: the
+    eliminated part's factor with its panel, then the panel with the kept
+    part's conditional Gram and that Gram's scaled copy; 16 m-vectors; and
+    numpy's ufunc buffers, as in ``_estimate_budget``."""
+    held = max(s * s + s * h, s * h + 2 * h * h)
+    return (held + 16 * m + 3 * np.getbufsize()) * DOUBLE
 
 
 def _range_budget(m, block):
@@ -149,6 +160,25 @@ def test_compressed_loglik_holds_half_its_system():
     compressed_restricted_loglik(moments, params)
     _, peak = _peak(compressed_restricted_loglik, moments, params)
     assert peak <= _solve_budget(m) < m * m * DOUBLE
+
+
+@pytest.mark.parametrize("collapsed", [(), (0,)])
+def test_compressed_loglik_holds_its_root_split(collapsed):
+    # five live coefficients keep two blocks and eliminate three; with the
+    # first one collapsed, four keep two and eliminate two
+    ds = _dataset(3000, k=5)
+    basis = build_basis(ds.coords, FitOptions(basis="nystrom", knot_count=100))
+    moments = compress(_design(ds, basis, basis))
+    m, L, kv = moments.size, moments.n_basis, moments.k_varying
+    rho = np.ones(kv)
+    rho[list(collapsed)] = 0.0
+    params = ShrinkageParams(rho, np.ones(kv))
+    live = kv - len(collapsed)
+    kept = live // 2 * L
+    eliminated = moments.n_cov + (live - live // 2) * L
+    compressed_restricted_loglik(moments, params)
+    _, peak = _peak(compressed_restricted_loglik, moments, params)
+    assert peak <= _split_budget(eliminated, kept, m)
 
 
 @pytest.mark.parametrize("block", [geometry.RANGE_BLOCK, 100])
